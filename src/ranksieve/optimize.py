@@ -12,26 +12,33 @@ a textbook simplex matter here:
 * on a plateau stop, the centroid of the final simplex is preferred to an
   arbitrary vertex (and kept only if its criterion value is not worse).
 
-A series least-squares fit over the same function space is provided as the
-comparison estimator that takes the observed outcome at face value.
+The objective is the criterion that ``rankcrit.bind_criterion`` binds to the
+sample, the same one the public evaluators use, at the candidate values
+offset + D @ gamma of the rows that enter.  A series least-squares fit over
+the same function space is provided as the comparison estimator that takes
+the observed outcome at face value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyWindowError, NumericalError
-from .rankcrit import (
-    KernelSpec,
+from .rankcrit import (  # the variant classes are re-exported from here
+    CriterionVariant,
+    DiscreteW,
+    FullRank,
+    Pairwise,
     Sample,
-    _weighted_less_sums,
-    kernel_weights,
-    pairwise_weighted_less_sums,
-    rank_strict_less,
+    Weighted,
+    bind_criterion,
+    rank_criterion,
 )
+# bench/layers.py wraps these two by name on this module, so they stay importable here
+from .rankcrit import kernel_weights, rank_strict_less
 from .sieve import PhiEstimate, SieveSpec, apply_normalization, design_matrix
 
 
@@ -59,131 +66,18 @@ class OptimizerConfig:
             raise ValueError("init_scale, f_tol, x_tol must be positive")
 
 
-# --------------------------------------------------------------------------
-# criterion variant selectors
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FullRank:
-    """Plain criterion over the whole sample (no controls)."""
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteW:
-    """Restrict to the subsample whose controls equal w0 exactly."""
-
-    w0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).ravel())
-
-
-@dataclass(frozen=True, eq=False)
-class Weighted:
-    """Kernel-weight observations by their control distance to w0."""
-
-    w0: np.ndarray
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).ravel())
-
-
-@dataclass(frozen=True)
-class Pairwise:
-    """Weight each pair by the kernel of the control difference W_i - W_j."""
-
-    kernel: KernelSpec
-
-
-CriterionVariant = Union[FullRank, DiscreteW, Weighted, Pairwise]
-
-
 def _build_objective(
     sample: Sample, spec: SieveSpec, variant: CriterionVariant
 ) -> Callable[[np.ndarray], float]:
-    """Closure gamma -> criterion value, with variant-specific precomputation.
-
-    Subsample variants (exact cell, uniform-kernel window) reduce the data
-    once up front; the window membership does not depend on the candidate
-    coefficients, so this is exact, not an approximation.
-    """
-    n = sample.n
-    norm = n * (n - 1)
-
-    if isinstance(variant, FullRank):
-        if n < 2:
-            raise NumericalError("need at least two observations")
-        D, offset = design_matrix(spec, sample.z)
-        y = sample.y
-
-        def objective(gamma: np.ndarray) -> float:
-            phi = offset + D @ gamma
-            return float(y @ rank_strict_less(phi)) / norm
-
-        return objective
-
-    if sample.w is None:
-        raise NumericalError("criterion variant requires controls, but sample has none")
-
-    if isinstance(variant, DiscreteW):
-        mask = np.all(sample.w == variant.w0[None, :], axis=1)
-        m = int(np.count_nonzero(mask))
-        if m < 2:
-            raise EmptyWindowError(
-                f"control cell w0={variant.w0.tolist()} has {m} observation(s); need >= 2"
-            )
-        D, offset = design_matrix(spec, sample.z[mask])
-        y = sample.y[mask]
-        cell_norm = m * (m - 1)
-
-        def objective(gamma: np.ndarray) -> float:
-            phi = offset + D @ gamma
-            return float(y @ rank_strict_less(phi)) / cell_norm
-
-        return objective
-
-    if isinstance(variant, Weighted):
-        u = kernel_weights(variant.kernel, sample.w, variant.w0)
-        if variant.kernel.family == "uniform":
-            mask = u > 0.0
-            m = int(np.count_nonzero(mask))
-            if m < 2:
-                raise EmptyWindowError(
-                    f"kernel window around w0={variant.w0.tolist()} has {m} observation(s)"
-                )
-            D, offset = design_matrix(spec, sample.z[mask])
-            y = sample.y[mask]
-
-            def objective(gamma: np.ndarray) -> float:
-                phi = offset + D @ gamma
-                return float(y @ rank_strict_less(phi)) / norm
-
-            return objective
-
-        if np.count_nonzero(u > 0.0) < 2:
-            raise EmptyWindowError("fewer than two observations carry kernel weight")
-        D, offset = design_matrix(spec, sample.z)
-        uy = u * sample.y
-
-        def objective(gamma: np.ndarray) -> float:
-            phi = offset + D @ gamma
-            return float(uy @ _weighted_less_sums(phi, u)) / norm
-
-        return objective
-
-    # Pairwise
-    D, offset = design_matrix(spec, sample.z)
-    y = sample.y
-    w = sample.w
-    kernel = variant.kernel
-
-    def objective(gamma: np.ndarray) -> float:
-        phi = offset + D @ gamma
-        return float(y @ pairwise_weighted_less_sums(phi, w, kernel)) / norm
-
-    return objective
+    """Closure gamma -> criterion value; the design covers only the rows that enter."""
+    crit = bind_criterion(sample, variant)
+    if crit.empty:
+        raise EmptyWindowError(
+            f"control cell or window around w0={variant.w0.tolist()} has "
+            f"{crit.n_used} observation(s) with weight; need >= 2"
+        )
+    D, offset = design_matrix(spec, sample.z[crit.rows])
+    return lambda gamma: crit.value(offset + D @ gamma)
 
 
 # --------------------------------------------------------------------------
@@ -361,8 +255,7 @@ def series_ols(sample: Sample, spec: SieveSpec) -> PhiEstimate:
     X = D if k in sweep else np.column_stack([D, np.ones(sample.n)])
     beta = ols_fit(X, sample.y - offset)
     gamma = beta[:k]
-    phi = offset + D @ gamma
-    crit = float(sample.y @ rank_strict_less(phi)) / (sample.n * (sample.n - 1))
+    crit = rank_criterion(sample, offset + D @ gamma)
     estimate = PhiEstimate(spec=spec, coefficients=gamma, criterion_value=crit)
     return apply_normalization(estimate)
 

@@ -9,17 +9,23 @@ Because only the ordering of phi enters, every variant below is invariant
 under strictly increasing transformations of the candidate function.  Four
 variants are provided: the plain criterion, an exact-match restriction for
 discrete controls, a kernel-weighted form around a fixed control value, and
-a pairwise kernel form that weights pairs by their control distance.  Each
-fast implementation has an O(n^2) brute-force counterpart used as a
-reference in the test suite.
+a pairwise kernel form that weights pairs by their control distance.
+``bind_criterion`` binds a variant to a sample once: it decides which rows
+enter, their weights and the normalizer.  The public evaluators below and
+the optimizer's objective both evaluate that one bound criterion.  Each
+variant has an O(n^2) brute-force counterpart used as a reference in the
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +34,7 @@ class Sample:
 
     Arrays are copied, validated (consistent lengths, finite entries) and
     frozen; rows with missing values must be dropped before construction.
+    A 1-D z or w is read as a single column.
     """
 
     y: np.ndarray
@@ -36,9 +43,9 @@ class Sample:
 
     def __post_init__(self):
         y = np.array(self.y, dtype=float).ravel()
-        z = np.atleast_2d(np.array(self.z, dtype=float))
-        if z.shape[0] == 1 and y.size > 1 and z.shape[1] == y.size:
-            z = z.T
+        z = np.array(self.z, dtype=float)
+        if z.ndim < 2:
+            z = z.reshape(-1, 1)
         z = np.ascontiguousarray(z)
         w = None
         if self.w is not None:
@@ -155,15 +162,127 @@ def _weighted_less_sums(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FullRank:
+    """Plain criterion over the whole sample (no controls)."""
+
+
+@dataclass(frozen=True, eq=False)
+class DiscreteW:
+    """Restrict to the subsample whose controls equal w0 exactly."""
+
+    w0: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class Weighted:
+    """Kernel-weight observations by their control distance to w0."""
+
+    w0: np.ndarray
+    kernel: KernelSpec
+
+    def __post_init__(self):
+        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=float).ravel())
+
+
+@dataclass(frozen=True)
+class Pairwise:
+    """Weight each pair by the kernel of the control difference W_i - W_j."""
+
+    kernel: KernelSpec
+
+
+CriterionVariant = Union[FullRank, DiscreteW, Weighted, Pairwise]
+
+_ALL_ROWS = slice(None)
+
+
+@dataclass(frozen=True, eq=False)
+class Criterion:
+    """A criterion variant bound to one sample.
+
+    ``value(phi)`` takes the candidate values of the rows that enter
+    (``sample.z[rows]``) and returns sum_i weighted_y_i * below_i / norm.
+    weighted_y_i is y_i times the row's own weight; below_i counts the rows
+    with phi_j < phi_i, or sums their pair weights when ``weighted_below``
+    is set.
+    """
+
+    rows: Union[slice, np.ndarray]
+    weighted_y: np.ndarray
+    norm: int
+    n_used: int
+    weighted_below: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    @property
+    def empty(self) -> bool:
+        return self.n_used < 2
+
+    def value(self, phi: np.ndarray) -> float:
+        if self.weighted_below is None:
+            below = rank_strict_less(phi)
+        else:
+            below = self.weighted_below(phi)
+        return float(self.weighted_y @ below) / self.norm
+
+
+def bind_criterion(sample: Sample, variant: CriterionVariant) -> Criterion:
+    """Precompute which rows enter, their weights and the normalizer.
+
+    Window membership does not depend on the candidate, so subsample
+    variants (exact cell, uniform-kernel window) drop the other rows here;
+    this is exact, not an approximation.  Raises NumericalError when the
+    variant needs controls the sample lacks, or when a variant normalized
+    by n(n-1) gets fewer than two rows; an empty cell or window is reported
+    through ``n_used`` instead.
+    """
+    if not isinstance(variant, FullRank) and sample.w is None:
+        raise NumericalError("criterion variant requires controls, but sample has none")
+    if isinstance(variant, DiscreteW):
+        rows = np.all(sample.w == variant.w0[None, :], axis=1)
+        m = int(np.count_nonzero(rows))
+        return Criterion(rows, sample.y[rows], m * (m - 1), m)
+    n = sample.n
+    if n < 2:
+        raise NumericalError("need at least two observations")
+    norm = n * (n - 1)
+    if isinstance(variant, FullRank):
+        return Criterion(_ALL_ROWS, sample.y, norm, n)
+    if isinstance(variant, Pairwise):
+        below = partial(pairwise_weighted_less_sums, w=sample.w, spec=variant.kernel)
+        return Criterion(_ALL_ROWS, sample.y, norm, n, below)
+    if not isinstance(variant, Weighted):
+        raise TypeError(f"unknown criterion variant {variant!r}")
+    u = kernel_weights(variant.kernel, sample.w, variant.w0)
+    if variant.kernel.family == "uniform":
+        # 0/1 weights: the pair sum is the plain rank-sum inside the window
+        rows = u > 0.0
+        return Criterion(rows, sample.y[rows], norm, int(np.count_nonzero(rows)))
+    below = partial(_weighted_less_sums, u=u)
+    return Criterion(_ALL_ROWS, u * sample.y, norm, int(np.count_nonzero(u > 0.0)), below)
+
+
+def _evaluate(sample: Sample, variant: CriterionVariant, phi_values) -> WindowedValue:
+    """Bound criterion at full-sample phi; value 0 when the window is empty."""
+    try:
+        crit = bind_criterion(sample, variant)
+    except NumericalError as exc:
+        # the evaluators are called with caller data: an unusable sample is a ValueError
+        raise ValueError(str(exc)) from None
+    phi = np.asarray(phi_values, dtype=float).ravel()
+    if phi.size != sample.n:
+        raise ValueError("phi_values length must equal the sample size")
+    if crit.empty:
+        return WindowedValue(0.0, crit.n_used)
+    return WindowedValue(crit.value(phi[crit.rows]), crit.n_used)
+
+
 def rank_criterion(sample: Sample, phi_values) -> float:
     """Plain rank criterion: 1/(n(n-1)) * sum_i y_i * rank_strict_less(phi)[i]."""
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    n = sample.n
-    if phi.size != n:
-        raise ValueError("phi_values length must equal the sample size")
-    if n < 2:
-        raise ValueError("need at least two observations")
-    return float(sample.y @ rank_strict_less(phi)) / (n * (n - 1))
+    return _evaluate(sample, FullRank(), phi_values).value
 
 
 def rank_criterion_discrete_w(sample: Sample, phi_values, w0) -> WindowedValue:
@@ -172,20 +291,7 @@ def rank_criterion_discrete_w(sample: Sample, phi_values, w0) -> WindowedValue:
     Normalized by m(m-1) over the m matching rows; returns value 0 with
     n_used < 2 (``empty`` flag) when the cell is too small.
     """
-    if sample.w is None:
-        raise ValueError("sample has no controls")
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    if phi.size != sample.n:
-        raise ValueError("phi_values length must equal the sample size")
-    w0 = np.asarray(w0, dtype=float).ravel()
-    mask = np.all(sample.w == w0[None, :], axis=1)
-    m = int(np.count_nonzero(mask))
-    if m < 2:
-        return WindowedValue(0.0, m)
-    sub_y = sample.y[mask]
-    sub_phi = phi[mask]
-    value = float(sub_y @ rank_strict_less(sub_phi)) / (m * (m - 1))
-    return WindowedValue(value, m)
+    return _evaluate(sample, DiscreteW(w0), phi_values)
 
 
 def rank_criterion_weighted(
@@ -197,29 +303,10 @@ def rank_criterion_weighted(
     K_s(W_i - w0) * y_i * K_s(W_j - w0) * 1{phi_i > phi_j}, normalized by
     n(n-1).  With a uniform kernel the weights are window indicators, so
     the sum collapses to the plain rank-sum over the subsample inside the
-    window (fast path); an empty window is flagged via ``n_used``.
+    window (fast path); an empty window is flagged via ``n_used`` and
+    evaluates to 0.
     """
-    if sample.w is None:
-        raise ValueError("sample has no controls")
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    n = sample.n
-    if phi.size != n:
-        raise ValueError("phi_values length must equal the sample size")
-    if n < 2:
-        raise ValueError("need at least two observations")
-    u = kernel_weights(spec, sample.w, w0)
-    if spec.family == "uniform":
-        mask = u > 0.0
-        m = int(np.count_nonzero(mask))
-        if m < 2:
-            return WindowedValue(0.0, m)
-        sub_y = sample.y[mask]
-        sub_phi = phi[mask]
-        value = float(sub_y @ rank_strict_less(sub_phi)) / (n * (n - 1))
-        return WindowedValue(value, m)
-    sums = _weighted_less_sums(phi, u)
-    value = float((u * sample.y) @ sums) / (n * (n - 1))
-    return WindowedValue(value, int(np.count_nonzero(u > 0.0)))
+    return _evaluate(sample, Weighted(w0, spec), phi_values)
 
 
 def rank_criterion_pairwise(sample: Sample, phi_values, spec: KernelSpec) -> float:
@@ -228,15 +315,7 @@ def rank_criterion_pairwise(sample: Sample, phi_values, spec: KernelSpec) -> flo
     sum_{i != j} y_i * K_s(W_i - W_j) * 1{phi_i > phi_j} / (n(n-1)).
     Inherently O(n^2); computed in row blocks to bound memory.
     """
-    if sample.w is None:
-        raise ValueError("sample has no controls")
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    n = sample.n
-    if phi.size != n:
-        raise ValueError("phi_values length must equal the sample size")
-    if n < 2:
-        raise ValueError("need at least two observations")
-    return float(sample.y @ pairwise_weighted_less_sums(phi, sample.w, spec)) / (n * (n - 1))
+    return _evaluate(sample, Pairwise(spec), phi_values).value
 
 
 def pairwise_weighted_less_sums(

@@ -36,6 +36,7 @@ from .optimize import (
     FullRank,
     OptimizerConfig,
     Weighted,
+    _mask64,
     evaluate_on_grid,
     maximize_rank_criterion,
     ols_fit,
@@ -55,16 +56,14 @@ from .sieve import (
     make_knot_vector,
 )
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 def _substream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & _MASK64, tag)))
+    return np.random.default_rng(np.random.SeedSequence((_mask64(seed), tag)))
 
 
 def derive_seed(master_seed: int, *keys: int) -> int:
     """Stable 64-bit child seed for a (cell, replication, ...) key tuple."""
-    ss = np.random.SeedSequence((int(master_seed) & _MASK64,) + tuple(int(k) for k in keys))
+    ss = np.random.SeedSequence((_mask64(master_seed),) + tuple(int(k) for k in keys))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -569,10 +568,6 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
         truth = np.sin(tgrid)
         reps = [by_key[(ci, r)] for r in range(cfg.replications)]
         ok = [r for r in reps if not r["failed"]]
-        tag = f"sigma{sigma:g}_c{c:g}_K{K}"
-        for r in reps:
-            if r["failed"]:
-                failures.append((tag, r["rep"], r["error"]))
         if ok:
             rank_stack = np.vstack([r["rank_curve"] for r in ok])
             ols_stack = np.vstack([r["ols_curve"] for r in ok])
@@ -611,6 +606,7 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
                 seconds=float(sum(r["seconds"] for r in reps)),
             )
         )
+        failures += [(cell_summaries[-1].tag, r["rep"], r["error"]) for r in reps if r["failed"]]
     return MCSummary(
         cells=tuple(cell_summaries),
         failures=tuple(failures),

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,26 @@ def test_estimate_weighted_variant(dataset, tmp_path):
             "--w0", "0.0",
             "--bandwidth", "2.0",
             "--kernel", "uniform",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert len(_read_csv(out)) == 11
+
+
+def test_estimate_readme_spec(dataset, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("`sieve.json` is the spec")[1].split("```json")[1].split("```")[0]
+    spec = tmp_path / "readme_spec.json"
+    spec.write_text(block)
+    out = tmp_path / "curves.csv"
+    code = main(
+        [
+            "estimate",
+            "--data", dataset["data"],
+            "--schema", dataset["schema"],
+            "--spec", str(spec),
+            "--grid", dataset["grid"],
             "--out", str(out),
         ]
     )

@@ -13,10 +13,13 @@ from ranksieve import (
     KernelSpec,
     NumericalError,
     OptimizerConfig,
+    Pairwise,
+    Product,
     Sample,
     SieveSpec,
     SplineComponent,
     Weighted,
+    design_matrix,
     evaluate_on_grid,
     generate,
     make_knot_vector,
@@ -25,6 +28,12 @@ from ranksieve import (
     series_ols,
 )
 from ranksieve.optimize import _build_objective, ols_fit
+from ranksieve.rankcrit import (
+    bruteforce_rank_criterion,
+    bruteforce_rank_criterion_discrete_w,
+    bruteforce_rank_criterion_pairwise,
+    bruteforce_rank_criterion_weighted,
+)
 from ranksieve.simulate import _spline_spec_2d
 
 
@@ -114,6 +123,51 @@ def test_empty_cell_and_window_propagate():
         maximize_rank_criterion(
             sample, spec, Weighted([9.0], KernelSpec("uniform", [0.5])), OptimizerConfig()
         )
+    one_row = Sample(y=[1.0], z=[[0.5]], w=[[0.0]])
+    identity = SieveSpec(
+        components=(IdentityComponent(input=Coordinate(0), coefficient=0.0, pinned=False),)
+    )
+    with pytest.raises(NumericalError, match="two observations"):
+        maximize_rank_criterion(
+            one_row, identity, Pairwise(KernelSpec("gaussian", [1.0])), OptimizerConfig()
+        )
+
+
+def test_objective_matches_bruteforce_for_every_variant():
+    # integer regressors and dyadic coefficients keep phi exact, so ties in
+    # phi are real ties whatever order the design product sums in
+    rng = np.random.default_rng(13)
+    n = 40
+    z = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    w = rng.integers(-2, 3, size=(n, 1)) / 2.0
+    sample = Sample(y=rng.normal(size=n), z=z, w=w)
+    spec = SieveSpec(
+        components=(
+            IdentityComponent(input=Coordinate(0), coefficient=1.0, pinned=True),
+            IdentityComponent(input=Coordinate(1), coefficient=0.0, pinned=False),
+            IdentityComponent(input=Product(0, 1), coefficient=0.0, pinned=False),
+        )
+    )
+    gau = KernelSpec("gaussian", [0.8])
+    cases = [
+        (FullRank(), lambda phi: bruteforce_rank_criterion(sample, phi)),
+        (DiscreteW([0.5]), lambda phi: bruteforce_rank_criterion_discrete_w(sample, phi, [0.5])),
+        (Pairwise(gau), lambda phi: bruteforce_rank_criterion_pairwise(sample, phi, gau)),
+    ]
+    for family in ("uniform", "gaussian", "epanechnikov"):
+        k = KernelSpec(family, [0.8])
+        cases.append(
+            (Weighted([0.0], k),
+             lambda phi, k=k: bruteforce_rank_criterion_weighted(sample, phi, [0.0], k))
+        )
+    D, offset = design_matrix(spec, sample.z)
+    for variant, oracle in cases:
+        objective = _build_objective(sample, spec, variant)
+        for _ in range(5):
+            gamma = rng.integers(-8, 9, size=spec.n_free) / 4.0
+            phi = offset + D @ gamma
+            assert len(np.unique(phi)) < n
+            assert objective(gamma) == pytest.approx(oracle(phi), abs=1e-12), variant
 
 
 def test_discrete_w_variant_fits_on_cell():
@@ -184,8 +238,6 @@ def test_series_ols_normal_equations():
     sample = Sample(y=y, z=z)
     spec = _spline_spec_2d(z[:, 1], 2, 2)
     fit = series_ols(sample, spec)
-    from ranksieve.sieve import design_matrix
-
     D, offset = design_matrix(spec, z)
     X = np.column_stack([D, np.ones(n)])  # basis spans constants; intercept redundant
     resid = (y - offset) - D @ fit.coefficients

@@ -114,6 +114,9 @@ def test_sample_validation():
         Sample(y=[1.0, np.nan], z=[[0.0], [1.0]])
     with pytest.raises(ValueError, match="rows"):
         Sample(y=[1.0, 2.0], z=[[0.0], [1.0], [2.0]])
+    assert Sample(y=[1.0, 2.0, 3.0], z=[0.0, 1.0, 2.0]).z.shape == (3, 1)
+    with pytest.raises(ValueError, match="rows"):
+        Sample(y=[1.0, 2.0, 3.0], z=[[0.0, 1.0, 2.0]])
     s = Sample(y=[1.0, 2.0], z=[[0.0], [1.0]])
     with pytest.raises(ValueError):
         s.y[0] = 9.0
