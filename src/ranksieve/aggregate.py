@@ -25,19 +25,15 @@ class LocalEstimateSet:
 
     grid: np.ndarray
     curves: np.ndarray
-    w_draws: np.ndarray
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         grid = np.atleast_2d(np.array(self.grid, dtype=float))
         curves = np.atleast_2d(np.array(self.curves, dtype=float))
-        w_draws = np.array(self.w_draws, dtype=float)
         if curves.shape[0] == 0:
             raise ValueError("need at least one curve")
         if curves.shape[1] != grid.shape[0]:
             raise ValueError("curve length does not match grid length")
-        if w_draws.shape[0] != curves.shape[0]:
-            raise ValueError("one control draw is required per curve")
         weights = self.weights
         if weights is not None:
             weights = np.array(weights, dtype=float).ravel()
@@ -48,11 +44,10 @@ class LocalEstimateSet:
             if abs(float(np.sum(weights)) - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1")
             weights.flags.writeable = False
-        for a in (grid, curves, w_draws):
-            a.flags.writeable = False
+        grid.flags.writeable = False
+        curves.flags.writeable = False
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "w_draws", w_draws)
         object.__setattr__(self, "weights", weights)
 
     @property

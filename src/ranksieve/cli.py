@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from .aggregate import LocalEstimateSet, aggregate_lad, aggregate_ls
 from .dataio import DatasetSchema, load_csv, summary_stats
 from .errors import DataError, NumericalError
 from .optimize import (
@@ -127,7 +128,7 @@ def _cmd_simulate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: {exc}") from exc
     summary = run_monte_carlo(cfg)
-    paths = write_summary_csvs(summary, args.out_dir, fmt=FMT)
+    paths = write_summary_csvs(summary, args.out_dir)
     for cell in summary.cells:
         print(
             f"cell {cell.tag}: mse_rank={FMT % cell.mse_rank} "
@@ -206,8 +207,8 @@ def _cmd_aggregate(args) -> int:
         elif grid.shape != grid_ref.shape or not np.array_equal(grid, grid_ref):
             raise DataError(f"{path}: grid differs from {paths[0]}")
         curves.append(np.array([float(r[args.column]) for r in rows]))
-    stack = np.vstack(curves)
-    agg = np.mean(stack, axis=0) if args.method == "ls" else np.median(stack, axis=0)
+    estimates = LocalEstimateSet(grid=grid_ref, curves=np.vstack(curves))
+    agg = aggregate_ls(estimates) if args.method == "ls" else aggregate_lad(estimates)
     _write_curve_csv(args.out, grid_ref, {args.method: agg})
     print(f"aggregated {len(paths)} curve file(s) into {args.out}")
     return EXIT_OK

@@ -205,8 +205,9 @@ def maximize_rank_criterion(
 # --------------------------------------------------------------------------
 
 
-def _deficient_columns(X: np.ndarray, rtol: float = 1e-10) -> list[int]:
+def _deficient_columns(X: np.ndarray) -> list[int]:
     """Indices of columns that are (numerically) linear combinations of earlier ones."""
+    rtol = 1e-10  # residual norm threshold, relative to max(column norm, 1)
     n, k = X.shape
     basis = np.zeros((n, 0))
     bad = []

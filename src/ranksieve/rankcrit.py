@@ -237,10 +237,16 @@ def bind_criterion(sample: Sample, variant: CriterionVariant) -> Criterion:
     this is exact, not an approximation.  Raises NumericalError when the
     variant needs controls the sample lacks, or when a variant normalized
     by n(n-1) gets fewer than two rows; an empty cell or window is reported
-    through ``n_used`` instead.
+    through ``n_used`` instead.  Raises ValueError when the control point
+    or the bandwidth vector does not have one entry per control column.
     """
     if not isinstance(variant, FullRank) and sample.w is None:
         raise NumericalError("criterion variant requires controls, but sample has none")
+    sizes = [variant.w0.size] if isinstance(variant, (DiscreteW, Weighted)) else []
+    if isinstance(variant, (Weighted, Pairwise)):
+        sizes.append(variant.kernel.bandwidths.size)
+    if any(size != sample.d_w for size in sizes):
+        raise ValueError(f"control dimension does not match the sample's {sample.d_w} control(s)")
     if isinstance(variant, DiscreteW):
         rows = np.all(sample.w == variant.w0[None, :], axis=1)
         m = int(np.count_nonzero(rows))
@@ -318,11 +324,10 @@ def rank_criterion_pairwise(sample: Sample, phi_values, spec: KernelSpec) -> flo
     return _evaluate(sample, Pairwise(spec), phi_values).value
 
 
-def pairwise_weighted_less_sums(
-    phi: np.ndarray, w: np.ndarray, spec: KernelSpec, block: int = 256
-) -> np.ndarray:
-    """out[i] = sum_j K_s(W_i - W_j) * 1{phi_j < phi_i}, in row blocks."""
+def pairwise_weighted_less_sums(phi: np.ndarray, w: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """out[i] = sum_j K_s(W_i - W_j) * 1{phi_j < phi_i}, in blocks of 256 rows."""
     n = phi.size
+    block = 256
     s = spec.bandwidths
     out = np.empty(n)
     for start in range(0, n, block):

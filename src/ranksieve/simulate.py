@@ -26,7 +26,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Optional
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,15 +128,21 @@ def h_piecewise(ystar, q30: float, q70: float, a: float, b: float):
     return out if out.ndim else float(out)
 
 
-def _latent_h_argument(cfg: DgpConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw of the quantity the distortion h is applied to."""
+def _draw_latent(cfg: DgpConfig, rng: np.random.Generator, size: int):
+    """Draw Z1, Z2, U (in that order) and the latent quantities built from them.
+
+    Returns ``(z1, z2, w, ystar, h_arg)``: ``w`` is None for the baseline
+    DGP, and ``h_arg`` is the quantity the distortion h is applied to.
+    """
     z1 = 1.0 + cfg.sigma * rng.standard_normal(size)
     z2 = rng.uniform(-cfg.c, cfg.c, size)
     u = cfg.u_scale * rng.standard_normal(size)
     if cfg.variant == "baseline":
-        return z1 + np.sin(z2) + u
+        ystar = z1 + np.sin(z2) + u
+        return z1, z2, None, ystar, ystar
     w = 0.5 * z2 + 0.5 * u
-    return z1 + np.sin(z2) + np.cos(w) + u * w**2 + w
+    ystar = z1 + np.sin(z2) + np.cos(w) + u * w**2
+    return z1, z2, w, ystar, ystar + w
 
 
 def approximate_quantiles(cfg: DgpConfig) -> tuple[float, float]:
@@ -145,8 +152,8 @@ def approximate_quantiles(cfg: DgpConfig) -> tuple[float, float]:
     the one :func:`generate` uses internally, and is deterministic.
     """
     rng = _substream(cfg.seed, 0)
-    t = _latent_h_argument(cfg, rng, cfg.quantile_approx_draws)
-    q30, q70 = np.quantile(t, [0.3, 0.7])
+    h_arg = _draw_latent(cfg, rng, cfg.quantile_approx_draws)[4]
+    q30, q70 = np.quantile(h_arg, [0.3, 0.7])
     return float(q30), float(q70)
 
 
@@ -168,20 +175,13 @@ def generate(cfg: DgpConfig) -> GeneratedSample:
     """
     q30, q70 = approximate_quantiles(cfg)
     rng = _substream(cfg.seed, 1)
-    n = cfg.n
-    z1 = 1.0 + cfg.sigma * rng.standard_normal(n)
-    z2 = rng.uniform(-cfg.c, cfg.c, n)
-    u = cfg.u_scale * rng.standard_normal(n)
-    v = cfg.v_scale * rng.standard_normal(n)
-    if cfg.variant == "baseline":
-        ystar = z1 + np.sin(z2) + u
-        y = h_piecewise(ystar, q30, q70, cfg.a, cfg.b) + v
-        sample = Sample(y=y, z=np.column_stack([z1, z2]))
+    z1, z2, w, ystar, h_arg = _draw_latent(cfg, rng, cfg.n)
+    v = cfg.v_scale * rng.standard_normal(cfg.n)
+    y = h_piecewise(h_arg, q30, q70, cfg.a, cfg.b)
+    if w is None:
+        sample = Sample(y=y + v, z=np.column_stack([z1, z2]))
     else:
-        w = 0.5 * z2 + 0.5 * u
-        ystar = z1 + np.sin(z2) + np.cos(w) + u * w**2
-        y = h_piecewise(ystar + w, q30, q70, cfg.a, cfg.b) + v * np.abs(w)
-        sample = Sample(y=y, z=np.column_stack([z1, z2]), w=w[:, None])
+        sample = Sample(y=y + v * np.abs(w), z=np.column_stack([z1, z2]), w=w[:, None])
     return GeneratedSample(sample, ystar, np.sin(z2), q30, q70)
 
 
@@ -283,12 +283,13 @@ class MCConfig:
         object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         object.__setattr__(self, "K", tuple(int(k) for k in self.K))
-        if self.variant not in ("baseline", "weighted"):
-            raise ValueError("variant must be 'baseline' or 'weighted'")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (self.sigma and self.c and self.K):
             raise ValueError("sigma, c, K grids must be non-empty")
+        for sigma in self.sigma:
+            for c in self.c:
+                self._dgp_config(sigma, c, seed=0)  # the DGP's own field checks
         if self.k_convention not in ("pinned", "raw"):
             raise ValueError("k_convention must be 'pinned' or 'raw'")
         if self.spline_degree < 0:
@@ -309,6 +310,10 @@ class MCConfig:
             raise ValueError("bandwidth_scale must be positive")
         if self.n_jobs < 0:
             raise ValueError("n_jobs must be non-negative (0 = all cores)")
+
+    def _dgp_config(self, sigma: float, c: float, seed: int) -> DgpConfig:
+        shared = ("variant", "n", "a", "b", "quantile_approx_draws")
+        return DgpConfig(sigma=sigma, c=c, seed=seed, **{k: getattr(self, k) for k in shared})
 
     def n_interior_for(self, k: int) -> int:
         extra = 0 if self.k_convention == "raw" else 1
@@ -369,15 +374,25 @@ class MCSummary:
 # --------------------------------------------------------------------------
 
 
-def _spline_spec_2d(z2_data: np.ndarray, degree: int, n_interior: int) -> SieveSpec:
-    """Pinned identity on coordinate 0 plus a spline block on coordinate 1."""
-    basis = BSplineBasis(degree, make_knot_vector(z2_data, degree, n_interior))
+def _spline_spec(spline_data: np.ndarray, degree: int, n_interior: int) -> SieveSpec:
+    """Pinned identity on coordinate 0 plus spline blocks, anchored at zero.
+
+    A 1-D ``spline_data`` gives one spline block on coordinate 1; a 2-D one
+    gives one block per column, on coordinates 1, 2, ..., with knots placed
+    from that column.
+    """
+    columns = spline_data.reshape(spline_data.shape[0], -1).T
+    blocks = tuple(
+        SplineComponent(
+            input=Coordinate(j),
+            basis=BSplineBasis(degree, make_knot_vector(col, degree, n_interior)),
+        )
+        for j, col in enumerate(columns, start=1)
+    )
     return SieveSpec(
-        components=(
-            IdentityComponent(input=Coordinate(0), coefficient=1.0, pinned=True),
-            SplineComponent(input=Coordinate(1), basis=basis),
-        ),
-        normalization=Anchor(point=np.zeros(2), value=0.0),
+        components=(IdentityComponent(input=Coordinate(0), coefficient=1.0, pinned=True),)
+        + blocks,
+        normalization=Anchor(point=np.zeros(len(blocks) + 1), value=0.0),
     )
 
 
@@ -389,80 +404,60 @@ def _cell_grid(cfg: MCConfig, c: float) -> np.ndarray:
 def _run_replication(cfg: MCConfig, cell_index: int, rep: int) -> dict:
     sigma, c, K = _cells(cfg)[cell_index]
     t0 = time.perf_counter()
-    dgp = DgpConfig(
-        variant=cfg.variant,
-        n=cfg.n,
-        sigma=sigma,
-        c=c,
-        a=cfg.a,
-        b=cfg.b,
-        quantile_approx_draws=cfg.quantile_approx_draws,
-        seed=derive_seed(cfg.master_seed, cell_index, rep, 0),
-    )
+    dgp = cfg._dgp_config(sigma, c, seed=derive_seed(cfg.master_seed, cell_index, rep, 0))
     tgrid = _cell_grid(cfg, c)
     truth = np.sin(tgrid)
-    out = {
-        "cell": cell_index,
-        "rep": rep,
-        "failed": False,
-        "error": "",
-        "degenerate": False,
-    }
+    grid_pts = np.column_stack([np.zeros_like(tgrid), tgrid])
     try:
         gen = generate(dgp)
-        degree = cfg.spline_degree
-        n_interior = cfg.n_interior_for(K)
+        spec = _spline_spec(gen.sample.z[:, 1], cfg.spline_degree, cfg.n_interior_for(K))
         if cfg.variant == "baseline":
-            spec = _spline_spec_2d(gen.sample.z[:, 1], degree, n_interior)
             opt = replace(cfg.optimizer, rng_seed=derive_seed(cfg.master_seed, cell_index, rep, 1))
             fit = maximize_rank_criterion(gen.sample, spec, FullRank(), opt)
-            grid_pts = np.column_stack([np.zeros_like(tgrid), tgrid])
             rank_curve = evaluate_on_grid(fit, grid_pts)
             ols_curve = evaluate_on_grid(series_ols(gen.sample, spec), grid_pts)
-            out["degenerate"] = fit.degenerate
+            degenerate = fit.degenerate
         else:
-            rank_curve, n_used, n_degen = _weighted_replication(cfg, cell_index, rep, gen, K, tgrid)
-            ols_curve = _weighted_series_curve(cfg, gen, K, tgrid)
-            out["n_local_used"] = n_used
-            out["degenerate"] = n_degen > cfg.n_w_draws // 2
+            rank_curve, n_degen = _weighted_replication(
+                cfg, cell_index, rep, gen.sample, spec, grid_pts
+            )
+            ols_curve = _weighted_series_curve(cfg, gen.sample, K, grid_pts)
+            degenerate = n_degen > cfg.n_w_draws // 2
         ks = ks_two_sample(gen.sample.y, gen.ystar)
-        out.update(
-            rank_curve=rank_curve,
-            ols_curve=ols_curve,
-            mse_rank=mse_on_grid(rank_curve, truth),
-            mse_ols=mse_on_grid(ols_curve, truth),
-            ks_stat=ks.statistic,
-            ks_p=ks.p_value,
-            ks_reject=ks.p_value < 0.05,
-        )
+        out = {
+            "failed": False,
+            "degenerate": degenerate,
+            "rank_curve": rank_curve,
+            "ols_curve": ols_curve,
+            "mse_rank": mse_on_grid(rank_curve, truth),
+            "mse_ols": mse_on_grid(ols_curve, truth),
+            "ks_reject": ks.p_value < 0.05,
+        }
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        out["failed"] = True
-        out["error"] = f"{type(exc).__name__}: {exc}"
+        out = {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
     out["seconds"] = time.perf_counter() - t0
     return out
 
 
-def _weighted_replication(cfg, cell_index, rep, gen, K, tgrid):
-    """Local window fits at drawn control values, combined pointwise."""
-    sample = gen.sample
+def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
+    """Local window fits at drawn control values, combined pointwise.
+
+    Returns the aggregated curve and the number of degenerate local fits.
+    """
     w_flat = sample.w[:, 0]
     s = cfg.bandwidth_scale * float(np.std(w_flat))
     if s <= 0:
         raise NumericalError("control variable is degenerate; bandwidth is zero")
     kernel = KernelSpec(cfg.kernel, np.array([s]))
-    degree = cfg.spline_degree
-    spec = _spline_spec_2d(sample.z[:, 1], degree, cfg.n_interior_for(K))
-    grid_pts = np.column_stack([np.zeros_like(tgrid), tgrid])
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, cell_index, rep, 2))
     w_draws = rng.choice(w_flat, size=cfg.n_w_draws, replace=True)
 
     min_window = spec.n_free + 2
-    curves, used_draws = [], []
+    curves = []
     n_degenerate = 0
     for d, w0 in enumerate(w_draws):
-        in_window = np.count_nonzero(np.abs(w_flat - w0) < s)
-        if cfg.kernel == "uniform" and in_window < min_window:
+        if cfg.kernel == "uniform" and np.count_nonzero(np.abs(w_flat - w0) < s) < min_window:
             continue
         opt = replace(
             cfg.local_optimizer,
@@ -474,17 +469,14 @@ def _weighted_replication(cfg, cell_index, rep, gen, K, tgrid):
             continue
         n_degenerate += int(fit.degenerate)
         curves.append(evaluate_on_grid(fit, grid_pts))
-        used_draws.append(w0)
     if not curves:
         raise NumericalError("no control draw produced a usable local fit")
-    estimates = LocalEstimateSet(
-        grid=grid_pts, curves=np.vstack(curves), w_draws=np.asarray(used_draws)
-    )
+    estimates = LocalEstimateSet(grid=grid_pts, curves=np.vstack(curves))
     agg = aggregate_lad(estimates) if cfg.aggregation == "lad" else aggregate_ls(estimates)
-    return agg, len(curves), n_degenerate
+    return agg, n_degenerate
 
 
-def _weighted_series_curve(cfg, gen, K, tgrid):
+def _weighted_series_curve(cfg, sample, K, grid_pts):
     """Series fit of the error-free additive model Z1 + g(Z2) + m(W).
 
     Both spline blocks span constants (partition of unity), so the additive
@@ -492,31 +484,16 @@ def _weighted_series_curve(cfg, gen, K, tgrid):
     removed by pinning its first coefficient to zero, which leaves the
     additive span, and hence the anchored g-curve, unchanged.
     """
-    sample = gen.sample
-    degree = cfg.spline_degree
-    n_interior = cfg.n_interior_for(K)
     z_aug = np.column_stack([sample.z, sample.w[:, 0]])
-    g_basis = BSplineBasis(degree, make_knot_vector(z_aug[:, 1], degree, n_interior))
-    spec = SieveSpec(
-        components=(
-            IdentityComponent(input=Coordinate(0), coefficient=1.0, pinned=True),
-            SplineComponent(input=Coordinate(1), basis=g_basis),
-            SplineComponent(
-                input=Coordinate(2),
-                basis=BSplineBasis(degree, make_knot_vector(z_aug[:, 2], degree, n_interior)),
-            ),
-        ),
-        normalization=Anchor(point=np.zeros(3), value=0.0),
-    )
+    spec = _spline_spec(z_aug[:, 1:], cfg.spline_degree, cfg.n_interior_for(K))
     D, offset = design_matrix(spec, z_aug)
     keep = np.ones(D.shape[1], dtype=bool)
-    keep[g_basis.K] = False  # first coefficient of the W block
+    keep[spec.components[1].basis.K] = False  # first coefficient of the W block
     beta = ols_fit(D[:, keep], sample.y - offset)
     gamma = np.zeros(D.shape[1])
     gamma[keep] = beta
     fit = apply_normalization(PhiEstimate(spec=spec, coefficients=gamma, criterion_value=0.0))
-    grid_pts = np.column_stack([np.zeros_like(tgrid), tgrid, np.zeros_like(tgrid)])
-    return evaluate_on_grid(fit, grid_pts)
+    return evaluate_on_grid(fit, np.column_stack([grid_pts, np.zeros(len(grid_pts))]))
 
 
 # --------------------------------------------------------------------------
@@ -526,19 +503,6 @@ def _weighted_series_curve(cfg, gen, K, tgrid):
 
 def _cells(cfg: MCConfig) -> list[tuple[float, float, int]]:
     return [(s, c, k) for s in cfg.sigma for c in cfg.c for k in cfg.K]
-
-
-_WORKER_CFG: Optional[MCConfig] = None
-
-
-def _init_worker(cfg: MCConfig) -> None:
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
-
-def _worker_task(args: tuple[int, int]) -> dict:
-    cell_index, rep = args
-    return _run_replication(_WORKER_CFG, cell_index, rep)
 
 
 def run_monte_carlo(cfg: MCConfig) -> MCSummary:
@@ -554,19 +518,17 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
     tasks = [(ci, r) for ci in range(len(cells)) for r in range(cfg.replications)]
     n_jobs = cfg.n_jobs if cfg.n_jobs > 0 else (os.cpu_count() or 1)
     if n_jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=n_jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
-            raw = pool.map(_worker_task, tasks, chunksize=1)
+        with multiprocessing.get_context().Pool(processes=n_jobs) as pool:
+            raw = pool.starmap(partial(_run_replication, cfg), tasks, chunksize=1)
     else:
         raw = [_run_replication(cfg, ci, r) for ci, r in tasks]
-    by_key = {(r["cell"], r["rep"]): r for r in raw}
 
     cell_summaries = []
     failures = []
     for ci, (sigma, c, K) in enumerate(cells):
         tgrid = _cell_grid(cfg, c)
         truth = np.sin(tgrid)
-        reps = [by_key[(ci, r)] for r in range(cfg.replications)]
+        reps = raw[ci * cfg.replications : (ci + 1) * cfg.replications]
         ok = [r for r in reps if not r["failed"]]
         if ok:
             rank_stack = np.vstack([r["rank_curve"] for r in ok])
@@ -606,7 +568,9 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
                 seconds=float(sum(r["seconds"] for r in reps)),
             )
         )
-        failures += [(cell_summaries[-1].tag, r["rep"], r["error"]) for r in reps if r["failed"]]
+        failures += [
+            (cell_summaries[-1].tag, rep, r["error"]) for rep, r in enumerate(reps) if r["failed"]
+        ]
     return MCSummary(
         cells=tuple(cell_summaries),
         failures=tuple(failures),
@@ -619,8 +583,12 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
 # --------------------------------------------------------------------------
 
 
-def write_summary_csvs(summary: MCSummary, out_dir: str, fmt: str = "%.6g") -> list[str]:
-    """Write mse_table.csv plus one curves_<cell>.csv per cell; returns paths."""
+def write_summary_csvs(summary: MCSummary, out_dir: str) -> list[str]:
+    """Write mse_table.csv plus one curves_<cell>.csv per cell; returns paths.
+
+    Every real number is printed with 6 significant digits.
+    """
+    fmt = "%.6g"
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     table_path = os.path.join(out_dir, "mse_table.csv")
@@ -645,17 +613,9 @@ def write_summary_csvs(summary: MCSummary, out_dir: str, fmt: str = "%.6g") -> l
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["z2", "truth", "rank_median", "rank_q05", "rank_q95", "ols_median"])
-            for i in range(cell.grid.size):
-                writer.writerow(
-                    fmt % v
-                    for v in (
-                        cell.grid[i],
-                        cell.truth[i],
-                        cell.rank_median[i],
-                        cell.rank_q05[i],
-                        cell.rank_q95[i],
-                        cell.ols_median[i],
-                    )
-                )
+            columns = (cell.grid, cell.truth, cell.rank_median, cell.rank_q05, cell.rank_q95,
+                       cell.ols_median)
+            for row in zip(*columns):
+                writer.writerow(fmt % v for v in row)
         paths.append(path)
     return paths

@@ -299,7 +299,6 @@ def test_criterion_6f_aggregation_and_ks_oracles():
     est = LocalEstimateSet(
         grid=np.arange(6, dtype=float)[:, None],
         curves=curves,
-        w_draws=np.arange(7, dtype=float),
         weights=w,
     )
     ls, lad = aggregate_ls(est), aggregate_lad(est)

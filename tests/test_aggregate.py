@@ -9,10 +9,7 @@ from oracles import lad_candidates, lad_loss, ls_loss
 def _make_set(curves, weights=None):
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     grid = np.arange(curves.shape[1], dtype=float)[:, None]
-    return LocalEstimateSet(
-        grid=grid, curves=curves, w_draws=np.arange(curves.shape[0], dtype=float),
-        weights=weights,
-    )
+    return LocalEstimateSet(grid=grid, curves=curves, weights=weights)
 
 
 def test_single_curve_returned_unchanged():
@@ -113,10 +110,10 @@ def test_ls_equals_lad_on_identical_curves():
 
 def test_validation():
     with pytest.raises(ValueError, match="at least one"):
-        LocalEstimateSet(grid=np.zeros((3, 1)), curves=np.zeros((0, 3)), w_draws=np.zeros(0))
+        LocalEstimateSet(grid=np.zeros((3, 1)), curves=np.zeros((0, 3)))
     with pytest.raises(ValueError, match="sum to 1"):
         _make_set([[1.0], [2.0]], weights=[0.6, 0.6])
     with pytest.raises(ValueError, match="non-negative"):
         _make_set([[1.0], [2.0]], weights=[1.5, -0.5])
     with pytest.raises(ValueError, match="length"):
-        LocalEstimateSet(grid=np.zeros((3, 1)), curves=np.zeros((2, 4)), w_draws=np.zeros(2))
+        LocalEstimateSet(grid=np.zeros((3, 1)), curves=np.zeros((2, 4)))

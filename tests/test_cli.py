@@ -163,6 +163,23 @@ def test_estimate_config_errors_exit_1(dataset, tmp_path):
         ]
     )
     assert code == 1
+    # control point or bandwidth vector of the wrong dimension (one control column)
+    for variant_args in (
+        ["--variant", "pairwise", "--kernel", "gaussian", "--bandwidth", "1", "2"],
+        ["--variant", "discrete-w", "--w0", "0.5", "0.5"],
+    ):
+        code = main(
+            [
+                "estimate",
+                "--data", dataset["data"],
+                "--schema", dataset["schema"],
+                "--spec", dataset["spec"],
+                "--grid", dataset["grid"],
+                "--out", str(tmp_path / "x.csv"),
+            ]
+            + variant_args
+        )
+        assert code == 1
 
 
 def test_estimate_numerical_failure_exit_3(dataset, tmp_path):
@@ -239,6 +256,53 @@ def test_aggregate_ls_and_lad(dataset, tmp_path):
     expected = np.median(curves, axis=0)
     got = np.array([float(r["lad"]) for r in rows])
     np.testing.assert_allclose(got, expected, atol=2e-6)  # 6 significant digits in files
+
+
+def _write_curves(tmp_path, curves, grid=(-1.0, 0.0, 2.5), column="rank"):
+    for k, curve in enumerate(curves):
+        with open(tmp_path / f"curve_{k}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["z_0", "z_1", column])
+            for z1, v in zip(grid, curve):
+                writer.writerow([repr(0.0), repr(z1), repr(float(v))])
+
+
+def test_aggregate_mean_and_median_of_hand_written_curves(tmp_path):
+    # four curves whose pointwise mean and median differ everywhere
+    curves = np.array(
+        [
+            [0.25, -3.0, 10.5],
+            [1.5, 2.0, -0.125],
+            [7.75, 0.5, 1.0],
+            [-2.0, 40.0, 3.25],
+        ]
+    )
+    _write_curves(tmp_path, curves)
+    for method, expected in (("ls", np.mean(curves, axis=0)), ("lad", np.median(curves, axis=0))):
+        out = tmp_path / f"agg_{method}.csv"
+        code = main(
+            ["aggregate", "--curves", str(tmp_path / "curve_*.csv"), "--method", method,
+             "--out", str(out)]
+        )
+        assert code == 0
+        rows = _read_csv(out)
+        assert [float(r["z_1"]) for r in rows] == [-1.0, 0.0, 2.5]
+        assert [r[method] for r in rows] == ["%.6g" % v for v in expected]
+
+
+def test_aggregate_grid_mismatch_and_missing_column_exit_2(tmp_path, capsys):
+    _write_curves(tmp_path, [[1.0, 2.0, 3.0]])
+    with open(tmp_path / "curve_9.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z_0", "z_1", "rank"])
+        for z1 in (-1.0, 0.5, 2.5):
+            writer.writerow([0.0, z1, 1.0])
+    args = ["aggregate", "--curves", str(tmp_path / "curve_*.csv"), "--method", "ls",
+            "--out", str(tmp_path / "agg.csv")]
+    assert main(args) == 2
+    assert "grid differs" in capsys.readouterr().err
+    assert main(args + ["--column", "ols"]) == 2
+    assert "column 'ols' not found" in capsys.readouterr().err
 
 
 def test_aggregate_no_match_exit_2(tmp_path):

@@ -34,7 +34,7 @@ from ranksieve.rankcrit import (
     bruteforce_rank_criterion_pairwise,
     bruteforce_rank_criterion_weighted,
 )
-from ranksieve.simulate import _spline_spec_2d
+from ranksieve.simulate import _spline_spec
 
 
 def _single_spline_spec(data, degree=2, n_interior=2, norm=None):
@@ -91,7 +91,7 @@ def test_criterion_at_least_zero_vector_value():
     rng = np.random.default_rng(2)
     n = 120
     sample = Sample(y=rng.normal(size=n), z=rng.normal(size=(n, 2)))
-    spec = _spline_spec_2d(sample.z[:, 1], 2, 1)
+    spec = _spline_spec(sample.z[:, 1], 2, 1)
     cfg = OptimizerConfig(n_starts=3, max_iters=100, rng_seed=5)
     fit = maximize_rank_criterion(sample, spec, FullRank(), cfg)
     objective = _build_objective(sample, spec, FullRank())
@@ -191,7 +191,7 @@ def test_mild_distortion_fit_tracks_sine():
     cfg = DgpConfig(n=1000, sigma=1.0, c=3.0, a=0.5, b=0.5, seed=3,
                     quantile_approx_draws=50_000)
     gen = generate(cfg)
-    spec = _spline_spec_2d(gen.sample.z[:, 1], 2, 2)
+    spec = _spline_spec(gen.sample.z[:, 1], 2, 2)
     fit = maximize_rank_criterion(gen.sample, spec, FullRank(), OptimizerConfig(rng_seed=3))
     tgrid = np.linspace(-2.9, 2.9, 101)
     curve = evaluate_on_grid(fit, np.column_stack([np.zeros_like(tgrid), tgrid]))
@@ -223,7 +223,7 @@ def test_series_ols_flat_when_no_signal():
     gen = generate(cfg)
     y = gen.sample.z[:, 0]  # replace outcome: exactly the pinned term, no z2 signal
     sample = Sample(y=y, z=gen.sample.z)
-    spec = _spline_spec_2d(sample.z[:, 1], 2, 2)
+    spec = _spline_spec(sample.z[:, 1], 2, 2)
     fit = series_ols(sample, spec)
     tgrid = np.linspace(-2.5, 2.5, 41)
     curve = evaluate_on_grid(fit, np.column_stack([np.zeros_like(tgrid), tgrid]))
@@ -236,7 +236,7 @@ def test_series_ols_normal_equations():
     z = rng.normal(size=(n, 2))
     y = rng.normal(size=n)
     sample = Sample(y=y, z=z)
-    spec = _spline_spec_2d(z[:, 1], 2, 2)
+    spec = _spline_spec(z[:, 1], 2, 2)
     fit = series_ols(sample, spec)
     D, offset = design_matrix(spec, z)
     X = np.column_stack([D, np.ones(n)])  # basis spans constants; intercept redundant
@@ -283,7 +283,7 @@ def test_ols_core_invariant_to_column_mixing():
 def test_grid_anchor_pin_exact():
     rng = np.random.default_rng(10)
     z2 = rng.uniform(-3, 3, 200)
-    spec = _spline_spec_2d(z2, 2, 2)
+    spec = _spline_spec(z2, 2, 2)
     sample = Sample(y=rng.normal(size=200), z=np.column_stack([rng.normal(size=200), z2]))
     fit = series_ols(sample, spec)
     grid = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])

@@ -327,3 +327,21 @@ def test_variants_require_controls():
         rank_criterion_weighted(s, [1.0, 2.0], [0.0], KernelSpec("uniform", [1.0]))
     with pytest.raises(ValueError, match="controls"):
         rank_criterion_pairwise(s, [1.0, 2.0], KernelSpec("uniform", [1.0]))
+
+
+def test_variants_reject_wrong_control_dimension():
+    rng = np.random.default_rng(16)
+    n = 20
+    phi = _random_values(rng, n)
+    two = _random_sample(rng, n, d_w=2)
+    one = _random_sample(rng, n)
+    with pytest.raises(ValueError, match="control dimension"):
+        rank_criterion_discrete_w(two, phi, [1.0])
+    with pytest.raises(ValueError, match="control dimension"):
+        rank_criterion_discrete_w(one, phi, [0.5, 0.5])
+    with pytest.raises(ValueError, match="control dimension"):
+        rank_criterion_pairwise(two, phi, KernelSpec("gaussian", [1.0]))
+    with pytest.raises(ValueError, match="control dimension"):
+        rank_criterion_pairwise(one, phi, KernelSpec("gaussian", [1.0, 2.0]))
+    with pytest.raises(ValueError, match="control dimension"):
+        rank_criterion_weighted(two, phi, [0.0], KernelSpec("uniform", [1.0, 1.0]))

@@ -275,6 +275,15 @@ def test_mc_config_validation_and_k_convention():
         MCConfig.from_dict({"replicationz": 5})
     with pytest.raises(ValueError):
         _tiny_mc(aggregation="mean")
+    # DGP fields are checked for every (sigma, c) pair before any replication runs
+    with pytest.raises(ValueError, match="sigma and c must be positive"):
+        _tiny_mc(sigma=(1.0, -1.0))
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        _tiny_mc(n=1)
+    with pytest.raises(ValueError, match="quantile_approx_draws"):
+        _tiny_mc(quantile_approx_draws=100)
+    with pytest.raises(ValueError, match="variant"):
+        _tiny_mc(variant="nonclassical")
 
 
 def test_mc_from_dict_nested():
