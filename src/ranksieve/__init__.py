@@ -24,7 +24,6 @@ from .rankcrit import (
     KernelSpec,
     Sample,
     WindowedValue,
-    kernel_weight,
     kernel_weights,
     rank_criterion,
     rank_criterion_discrete_w,
@@ -44,9 +43,7 @@ from .sieve import (
     SplineComponent,
     TwoPoint,
     apply_normalization,
-    bspline_eval,
     design_matrix,
-    design_row,
     make_knot_vector,
     sieve_spec_from_json,
     sieve_spec_to_json,
@@ -104,14 +101,11 @@ __all__ = [
     "aggregate_ls",
     "apply_normalization",
     "approximate_quantiles",
-    "bspline_eval",
     "derive_seed",
     "design_matrix",
-    "design_row",
     "evaluate_on_grid",
     "generate",
     "h_piecewise",
-    "kernel_weight",
     "kernel_weights",
     "ks_two_sample",
     "load_csv",

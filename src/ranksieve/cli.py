@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .aggregate import LocalEstimateSet, aggregate_lad, aggregate_ls
-from .dataio import DatasetSchema, load_csv, summary_stats
+from .dataio import DatasetSchema, _parse_number, load_csv, summary_stats
 from .errors import DataError, NumericalError
 from .optimize import (
     DiscreteW,
@@ -201,12 +201,17 @@ def _cmd_aggregate(args) -> int:
             rows = list(reader)
         if not rows:
             raise DataError(f"{path}: empty curve file")
-        grid = np.array([[float(r[c]) for c in zcols] for r in rows])
+        # the header is line 1
+        cells = np.array([
+            [_parse_number(path, line_no, c, r[c]) for c in zcols + [args.column]]
+            for line_no, r in enumerate(rows, start=2)
+        ])
+        grid = cells[:, :-1]
         if grid_ref is None:
             grid_ref = grid
         elif grid.shape != grid_ref.shape or not np.array_equal(grid, grid_ref):
             raise DataError(f"{path}: grid differs from {paths[0]}")
-        curves.append(np.array([float(r[args.column]) for r in rows]))
+        curves.append(cells[:, -1])
     estimates = LocalEstimateSet(grid=grid_ref, curves=np.vstack(curves))
     agg = aggregate_ls(estimates) if args.method == "ls" else aggregate_lad(estimates)
     _write_curve_csv(args.out, grid_ref, {args.method: agg})

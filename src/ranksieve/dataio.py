@@ -64,6 +64,16 @@ class IngestionReport(NamedTuple):
         return self.rows_read - self.rows_dropped
 
 
+def _parse_number(path: str, line_no: int, col: str, cell) -> float:
+    """float(cell), or a DataError naming the file, line and column."""
+    try:
+        return float(cell)
+    except (TypeError, ValueError) as exc:
+        raise DataError(
+            f"{path}: line {line_no}, column {col!r}: cannot parse {cell!r} as a number"
+        ) from exc
+
+
 def load_csv(path: str, schema: DatasetSchema) -> tuple[Sample, IngestionReport]:
     """Read selected columns into a Sample, dropping incomplete rows.
 
@@ -96,13 +106,7 @@ def load_csv(path: str, schema: DatasetSchema) -> tuple[Sample, IngestionReport]
                 if cell in schema.missing_tokens:
                     missing.append(col)
                     continue
-                try:
-                    values[col] = float(cell)
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}: line {line_no}, column {col!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from exc
+                values[col] = _parse_number(path, line_no, col, cell)
             if missing:
                 dropped += 1
                 for col in missing:

@@ -12,9 +12,7 @@ discrete controls, a kernel-weighted form around a fixed control value, and
 a pairwise kernel form that weights pairs by their control distance.
 ``bind_criterion`` binds a variant to a sample once: it decides which rows
 enter, their weights and the normalizer.  The public evaluators below and
-the optimizer's objective both evaluate that one bound criterion.  Each
-variant has an O(n^2) brute-force counterpart used as a reference in the
-test suite.
+the optimizer's objective both evaluate that one bound criterion.
 """
 
 from __future__ import annotations
@@ -113,11 +111,6 @@ def kernel_weights(spec: KernelSpec, w: np.ndarray, w0) -> np.ndarray:
         raise ValueError("control dimension does not match bandwidth vector")
     u = (w - w0[None, :]) / spec.bandwidths[None, :]
     return np.prod(_kernel_1d(spec.family, u), axis=1)
-
-
-def kernel_weight(spec: KernelSpec, w_i, w0) -> float:
-    """Product kernel weight for a single control vector."""
-    return float(kernel_weights(spec, np.atleast_2d(np.asarray(w_i, dtype=float)), w0)[0])
 
 
 class WindowedValue(NamedTuple):
@@ -337,69 +330,3 @@ def pairwise_weighted_less_sums(phi: np.ndarray, w: np.ndarray, spec: KernelSpec
         ind = phi[None, :] < phi[start:stop, None]
         out[start:stop] = np.sum(kw * ind, axis=1)
     return out
-
-
-# --------------------------------------------------------------------------
-# brute-force references (used as oracles by the test suite)
-# --------------------------------------------------------------------------
-
-
-def bruteforce_rank_strict_less(values) -> np.ndarray:
-    v = np.asarray(values, dtype=float).ravel()
-    n = v.size
-    out = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        for j in range(n):
-            if j != i and v[j] < v[i]:
-                out[i] += 1
-    return out
-
-
-def bruteforce_rank_criterion(sample: Sample, phi_values) -> float:
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    n = sample.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if j != i and phi[i] > phi[j]:
-                total += sample.y[i]
-    return total / (n * (n - 1))
-
-
-def bruteforce_rank_criterion_discrete_w(sample: Sample, phi_values, w0) -> float:
-    """Triple-indicator double loop, normalized by m(m-1) over the cell."""
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    w0 = np.asarray(w0, dtype=float).ravel()
-    match = [bool(np.all(sample.w[i] == w0)) for i in range(sample.n)]
-    m = sum(match)
-    if m < 2:
-        return 0.0
-    total = 0.0
-    for i in range(sample.n):
-        for j in range(sample.n):
-            if j != i and match[i] and match[j] and phi[i] > phi[j]:
-                total += sample.y[i]
-    return total / (m * (m - 1))
-
-
-def bruteforce_rank_criterion_weighted(sample: Sample, phi_values, w0, spec: KernelSpec) -> float:
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    n = sample.n
-    total = 0.0
-    for i in range(n):
-        ui = kernel_weight(spec, sample.w[i], w0)
-        for j in range(n):
-            if j != i and phi[i] > phi[j]:
-                total += ui * sample.y[i] * kernel_weight(spec, sample.w[j], w0)
-    return total / (n * (n - 1))
-
-
-def bruteforce_rank_criterion_pairwise(sample: Sample, phi_values, spec: KernelSpec) -> float:
-    phi = np.asarray(phi_values, dtype=float).ravel()
-    n = sample.n
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if j != i and phi[i] > phi[j]:
-                total += sample.y[i] * kernel_weight(spec, sample.w[i] - sample.w[j], np.zeros(sample.d_w))
-    return total / (n * (n - 1))

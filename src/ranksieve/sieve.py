@@ -29,26 +29,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def empirical_quantile(data: np.ndarray, p: float) -> float:
-    """Inverse empirical CDF (type-1): smallest x with F(x) >= p.
-
-    Ties resolve to the lower order statistic, which keeps the result a
-    member of the sample and makes the value reproducible by a plain
-    sort-and-index computation.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"quantile level must be in (0, 1], got {p}")
-    s = np.sort(np.asarray(data, dtype=float))
-    k = math.ceil(len(s) * p)
-    return float(s[k - 1])
-
-
 def make_knot_vector(data, degree: int, n_interior: int) -> np.ndarray:
     """Clamped knot vector with interior knots at empirical quantiles.
 
-    Interior knots sit at the quantile levels j/(n_interior+1),
-    j = 1..n_interior; the boundary knots are the sample min and max,
-    each repeated degree+1 times.
+    Interior knots sit at the quantile levels p = j/(n_interior+1),
+    j = 1..n_interior, read off the inverse empirical CDF (type 1): the
+    order statistic x_(ceil(n*p)), so every knot is a member of the sample.
+    The boundary knots are the sample min and max, each repeated degree+1
+    times.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0:
@@ -60,9 +48,11 @@ def make_knot_vector(data, degree: int, n_interior: int) -> np.ndarray:
     lo, hi = float(np.min(x)), float(np.max(x))
     if not lo < hi:
         raise ValueError("degenerate support: min(data) == max(data)")
-    interior = [
-        empirical_quantile(x, j / (n_interior + 1)) for j in range(1, n_interior + 1)
-    ]
+    s = np.sort(x)
+    # the level is rounded before the product: n * j / (n_interior + 1)
+    # picks another order statistic for some (n, j), e.g. n=42, j=9 of 13
+    levels = [j / (n_interior + 1) for j in range(1, n_interior + 1)]
+    interior = [s[math.ceil(s.size * p) - 1] for p in levels]
     return np.concatenate(
         [np.full(degree + 1, lo), np.asarray(interior, dtype=float), np.full(degree + 1, hi)]
     )
@@ -145,13 +135,6 @@ def _basis_matrix(knots: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
     cols = span[:, None] - degree + np.arange(degree + 1)[None, :]
     out[np.arange(n)[:, None], cols] = vals
     return out
-
-
-def bspline_eval(basis: BSplineBasis, k: int, x: float) -> float:
-    """Value of the k-th basis function at x (0 outside its support)."""
-    if not 0 <= k < basis.K:
-        raise ValueError(f"basis index {k} out of range [0, {basis.K})")
-    return float(basis.evaluate_all(np.array([x]))[0, k])
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +239,8 @@ class TwoPoint:
     def __post_init__(self):
         object.__setattr__(self, "point1", _readonly(np.ravel(self.point1)))
         object.__setattr__(self, "point2", _readonly(np.ravel(self.point2)))
+        if self.point1.size != self.point2.size:
+            raise ValueError("two-point normalization needs two points of the same dimension")
 
 
 Normalization = Union[NoNormalization, Anchor, TwoPoint]
@@ -306,12 +291,6 @@ def design_matrix(spec: SieveSpec, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return D, offset
 
 
-def design_row(spec: SieveSpec, z) -> tuple[np.ndarray, float]:
-    """Single-point version of :func:`design_matrix`."""
-    D, offset = design_matrix(spec, np.atleast_2d(np.asarray(z, dtype=float)))
-    return D[0], float(offset[0])
-
-
 @dataclass(frozen=True, eq=False)
 class PhiEstimate:
     """A fitted member of a sieve space.
@@ -341,9 +320,6 @@ class PhiEstimate:
         D, offset = design_matrix(self.spec, z)
         return self.scale * (offset + D @ self.coefficients) + self.shift
 
-    def value(self, z) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(z, dtype=float)))[0])
-
 
 def apply_normalization(estimate: PhiEstimate) -> PhiEstimate:
     """Re-solve the estimate's affine map so its normalization constraints hold.
@@ -357,15 +333,14 @@ def apply_normalization(estimate: PhiEstimate) -> PhiEstimate:
     if isinstance(norm, NoNormalization):
         return estimate
 
-    def raw(point) -> float:
-        row, off = design_row(estimate.spec, point)
-        return off + float(row @ estimate.coefficients)
-
+    pins = [norm.point] if isinstance(norm, Anchor) else [norm.point1, norm.point2]
+    D, off = design_matrix(estimate.spec, np.vstack(pins))
+    raw = [float(off[i]) + float(D[i] @ estimate.coefficients) for i in range(len(pins))]
     if isinstance(norm, Anchor):
         scale = 1.0
-        shift = norm.value - raw(norm.point)
+        shift = norm.value - raw[0]
     else:
-        r1, r2 = raw(norm.point1), raw(norm.point2)
+        r1, r2 = raw
         if r1 == r2:
             raise NumericalError(
                 "two-point normalization failed: fitted function is constant "

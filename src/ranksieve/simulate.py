@@ -43,7 +43,7 @@ from .optimize import (
     ols_fit,
     series_ols,
 )
-from .rankcrit import KernelSpec, Sample
+from .rankcrit import KernelSpec, Sample, bind_criterion
 from .sieve import (
     Anchor,
     BSplineBasis,
@@ -457,14 +457,15 @@ def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
     curves = []
     n_degenerate = 0
     for d, w0 in enumerate(w_draws):
-        if cfg.kernel == "uniform" and np.count_nonzero(np.abs(w_flat - w0) < s) < min_window:
+        variant = Weighted(np.array([w0]), kernel)
+        if cfg.kernel == "uniform" and bind_criterion(sample, variant).n_used < min_window:
             continue
         opt = replace(
             cfg.local_optimizer,
             rng_seed=derive_seed(cfg.master_seed, cell_index, rep, 3, d),
         )
         try:
-            fit = maximize_rank_criterion(sample, spec, Weighted(np.array([w0]), kernel), opt)
+            fit = maximize_rank_criterion(sample, spec, variant, opt)
         except NumericalError:
             continue
         n_degenerate += int(fit.degenerate)

@@ -1,8 +1,13 @@
 """Independent reference implementations used by the tests.
 
 These are deliberately naive (textbook recursions, exhaustive scans) and
-share no code with the library paths they check.
+share no code with the library paths they check.  The criterion oracles
+read only the ``y``, ``w`` and ``n`` attributes of a sample and the
+``family`` and ``bandwidths`` of a kernel spec, and evaluate the kernels
+with their own scalar formulas.
 """
+
+import math
 
 import numpy as np
 
@@ -64,3 +69,88 @@ def ecdf_sup_distance(x, y):
         fy = np.mean(y <= t)
         best = max(best, abs(fx - fy))
     return best
+
+
+# --------------------------------------------------------------------------
+# rank criterion: O(n^2) double loops over ordered pairs
+# --------------------------------------------------------------------------
+
+
+def kernel_1d(family, u):
+    """Scalar kernel at u: uniform, gaussian or epanechnikov."""
+    if family == "uniform":
+        return 1.0 if abs(u) < 1.0 else 0.0
+    if family == "gaussian":
+        return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    if family == "epanechnikov":
+        return 0.75 * (1.0 - u * u) if abs(u) < 1.0 else 0.0
+    raise ValueError(f"unknown kernel family {family!r}")
+
+
+def product_kernel(spec, w_i, w0):
+    """prod_k K((w_i[k] - w0[k]) / s_k) over the control coordinates."""
+    total = 1.0
+    for a, b, s in zip(w_i, w0, spec.bandwidths):
+        total *= kernel_1d(spec.family, (a - b) / s)
+    return total
+
+
+def bruteforce_rank_strict_less(values):
+    v = np.asarray(values, dtype=float).ravel()
+    n = v.size
+    out = np.zeros(n, dtype=np.intp)
+    for i in range(n):
+        for j in range(n):
+            if j != i and v[j] < v[i]:
+                out[i] += 1
+    return out
+
+
+def bruteforce_rank_criterion(sample, phi_values):
+    phi = np.asarray(phi_values, dtype=float).ravel()
+    n = sample.n
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if j != i and phi[i] > phi[j]:
+                total += sample.y[i]
+    return total / (n * (n - 1))
+
+
+def bruteforce_rank_criterion_discrete_w(sample, phi_values, w0):
+    """Triple-indicator double loop, normalized by m(m-1) over the cell."""
+    phi = np.asarray(phi_values, dtype=float).ravel()
+    w0 = np.asarray(w0, dtype=float).ravel()
+    match = [bool(np.all(sample.w[i] == w0)) for i in range(sample.n)]
+    m = sum(match)
+    if m < 2:
+        return 0.0
+    total = 0.0
+    for i in range(sample.n):
+        for j in range(sample.n):
+            if j != i and match[i] and match[j] and phi[i] > phi[j]:
+                total += sample.y[i]
+    return total / (m * (m - 1))
+
+
+def bruteforce_rank_criterion_weighted(sample, phi_values, w0, spec):
+    phi = np.asarray(phi_values, dtype=float).ravel()
+    n = sample.n
+    total = 0.0
+    for i in range(n):
+        ui = product_kernel(spec, sample.w[i], w0)
+        for j in range(n):
+            if j != i and phi[i] > phi[j]:
+                total += ui * sample.y[i] * product_kernel(spec, sample.w[j], w0)
+    return total / (n * (n - 1))
+
+
+def bruteforce_rank_criterion_pairwise(sample, phi_values, spec):
+    phi = np.asarray(phi_values, dtype=float).ravel()
+    n = sample.n
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if j != i and phi[i] > phi[j]:
+                total += sample.y[i] * product_kernel(spec, sample.w[i], sample.w[j])
+    return total / (n * (n - 1))

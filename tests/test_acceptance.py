@@ -31,14 +31,17 @@ from ranksieve import (
     run_monte_carlo,
 )
 from ranksieve.cli import main as cli_main
-from ranksieve.rankcrit import (
-    bruteforce_rank_criterion_weighted,
-    bruteforce_rank_strict_less,
-)
-from ranksieve.sieve import BSplineBasis, bspline_eval, make_knot_vector
+from ranksieve.sieve import BSplineBasis, make_knot_vector
 
 from conftest import record_acceptance_line
-from oracles import lad_candidates, lad_loss, ls_loss, naive_bspline
+from oracles import (
+    bruteforce_rank_criterion_weighted,
+    bruteforce_rank_strict_less,
+    lad_candidates,
+    lad_loss,
+    ls_loss,
+    naive_bspline,
+)
 
 MASTER_SEED = 20250808
 BASELINE_REPS = 200
@@ -263,7 +266,7 @@ def test_criterion_6d_bspline_properties():
             for k in range(basis.K):
                 worst_orc = max(
                     worst_orc,
-                    abs(bspline_eval(basis, k, float(xv))
+                    abs(basis.evaluate_all([xv])[0, k]
                         - naive_bspline(basis.knots, degree, k, xv)),
                 )
     ok = worst_pu < 1e-12 and min_val >= 0.0 and worst_orc < 1e-12

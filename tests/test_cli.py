@@ -305,6 +305,25 @@ def test_aggregate_grid_mismatch_and_missing_column_exit_2(tmp_path, capsys):
     assert "column 'ols' not found" in capsys.readouterr().err
 
 
+def test_aggregate_unparsable_cell_exit_2(tmp_path, capsys):
+    _write_curves(tmp_path, [[1.0, 2.0, 3.0]])
+    args = ["aggregate", "--curves", str(tmp_path / "curve_*.csv"), "--method", "ls",
+            "--out", str(tmp_path / "agg.csv")]
+    for bad, line, column in (("np.float64(0.25)", 3, "rank"), ("", 4, "z_1")):
+        path = tmp_path / "curve_9.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["z_0", "z_1", "rank"])
+            for k, z1 in enumerate((-1.0, 0.0, 2.5)):
+                cells = [0.0, z1, 1.0]
+                if k + 2 == line:
+                    cells[["z_0", "z_1", "rank"].index(column)] = bad
+                writer.writerow(cells)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {line}, column {column!r}: cannot parse {bad!r}" in err
+
+
 def test_aggregate_no_match_exit_2(tmp_path):
     code = main(
         ["aggregate", "--curves", str(tmp_path / "none_*.csv"), "--method", "ls",

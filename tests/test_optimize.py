@@ -28,13 +28,14 @@ from ranksieve import (
     series_ols,
 )
 from ranksieve.optimize import _build_objective, ols_fit
-from ranksieve.rankcrit import (
+from ranksieve.simulate import _spline_spec
+
+from oracles import (
     bruteforce_rank_criterion,
     bruteforce_rank_criterion_discrete_w,
     bruteforce_rank_criterion_pairwise,
     bruteforce_rank_criterion_weighted,
 )
-from ranksieve.simulate import _spline_spec
 
 
 def _single_spline_spec(data, degree=2, n_interior=2, norm=None):

@@ -4,14 +4,15 @@ import pytest
 from ranksieve import (
     KernelSpec,
     Sample,
-    kernel_weight,
+    kernel_weights,
     rank_criterion,
     rank_criterion_discrete_w,
     rank_criterion_pairwise,
     rank_criterion_weighted,
     rank_strict_less,
 )
-from ranksieve.rankcrit import (
+
+from oracles import (
     bruteforce_rank_criterion,
     bruteforce_rank_criterion_discrete_w,
     bruteforce_rank_criterion_pairwise,
@@ -204,19 +205,19 @@ def test_discrete_w_matches_bruteforce():
 
 def test_kernel_weight_values():
     uni = KernelSpec("uniform", [1.0])
-    assert kernel_weight(uni, [0.3], [0.3]) == 1.0
-    assert kernel_weight(uni, [2.3], [0.3]) == 0.0
+    assert kernel_weights(uni, [[0.3]], [0.3])[0] == 1.0
+    assert kernel_weights(uni, [[2.3]], [0.3])[0] == 0.0
     gau = KernelSpec("gaussian", [2.0])
-    assert kernel_weight(gau, [1.0], [0.0]) == pytest.approx(
+    assert kernel_weights(gau, [[1.0]], [0.0])[0] == pytest.approx(
         np.exp(-1.0 / 8.0) / np.sqrt(2 * np.pi), rel=1e-12
     )
     epa = KernelSpec("epanechnikov", [2.0])
-    assert kernel_weight(epa, [1.0], [0.0]) == pytest.approx(0.75 * (1 - 0.25), rel=1e-12)
-    assert kernel_weight(epa, [2.5], [0.0]) == 0.0
+    assert kernel_weights(epa, [[1.0]], [0.0])[0] == pytest.approx(0.75 * (1 - 0.25), rel=1e-12)
+    assert kernel_weights(epa, [[2.5]], [0.0])[0] == 0.0
     # product over coordinates
     gau2 = KernelSpec("gaussian", [1.0, 2.0])
     expected = (np.exp(-0.5) / np.sqrt(2 * np.pi)) * (np.exp(-1.0 / 8.0) / np.sqrt(2 * np.pi))
-    assert kernel_weight(gau2, [1.0, 1.0], [0.0, 0.0]) == pytest.approx(expected, rel=1e-12)
+    assert kernel_weights(gau2, [[1.0, 1.0]], [0.0, 0.0])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_validation():
@@ -309,14 +310,15 @@ def test_pairwise_tiny_bandwidth_is_zero():
 
 def test_pairwise_matches_bruteforce():
     rng = np.random.default_rng(15)
-    n = 100
-    s = _random_sample(rng, n)
-    phi = _random_values(rng, n)
-    for family, bw in (("gaussian", [0.8]), ("uniform", [1.2]), ("epanechnikov", [1.5])):
-        spec = KernelSpec(family, bw)
-        assert rank_criterion_pairwise(s, phi, spec) == pytest.approx(
-            bruteforce_rank_criterion_pairwise(s, phi, spec), abs=1e-12
-        )
+    # n = 300 crosses the 256-row block boundary of the vectorized pair sums
+    for n in (100, 300):
+        s = _random_sample(rng, n)
+        phi = _random_values(rng, n)
+        for family, bw in (("gaussian", [0.8]), ("uniform", [1.2]), ("epanechnikov", [1.5])):
+            spec = KernelSpec(family, bw)
+            assert rank_criterion_pairwise(s, phi, spec) == pytest.approx(
+                bruteforce_rank_criterion_pairwise(s, phi, spec), abs=1e-12
+            )
 
 
 def test_variants_require_controls():

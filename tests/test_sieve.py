@@ -16,9 +16,7 @@ from ranksieve import (
     SplineComponent,
     TwoPoint,
     apply_normalization,
-    bspline_eval,
     design_matrix,
-    design_row,
     make_knot_vector,
     sieve_spec_from_json,
     sieve_spec_to_json,
@@ -63,6 +61,12 @@ def test_knot_vector_matches_sort_and_index_oracle():
         assert np.all(np.diff(kv) >= 0)
         for j in range(1, m + 1):
             assert kv[degree + j] == type1_quantile(data, j / (m + 1))
+    # n * (j / (m + 1)) and n * j / (m + 1) round to different order
+    # statistics here (j = 9): the knot follows the level j / (m + 1)
+    data = np.arange(42.0)
+    kv = make_knot_vector(data, 1, 13)
+    for j in range(1, 14):
+        assert kv[1 + j] == type1_quantile(data, j / 14)
 
 
 # --------------------------------------------------------------------------
@@ -79,9 +83,9 @@ def _random_basis(rng):
 
 def test_degree_zero_is_indicator():
     basis = BSplineBasis(0, np.array([0.0, 1.0, 2.0]))
-    assert bspline_eval(basis, 0, 0.5) == 1.0
-    assert bspline_eval(basis, 0, 1.5) == 0.0
-    assert bspline_eval(basis, 1, 1.5) == 1.0
+    assert basis.evaluate_all([0.5])[0, 0] == 1.0
+    assert basis.evaluate_all([1.5])[0, 0] == 0.0
+    assert basis.evaluate_all([1.5])[0, 1] == 1.0
 
 
 def test_partition_of_unity_and_nonnegativity():
@@ -107,7 +111,7 @@ def test_eval_matches_naive_recursion():
         for x in xs:
             for k in range(basis.K):
                 expected = naive_bspline(basis.knots, basis.degree, k, x)
-                assert bspline_eval(basis, k, float(x)) == pytest.approx(expected, abs=1e-12)
+                assert basis.evaluate_all([x])[0, k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_eval_matches_scipy_on_interior_points():
@@ -121,14 +125,6 @@ def test_eval_matches_scipy_on_interior_points():
         coef[k] = 1.0
         ref = scipy_interp.BSpline(basis.knots, coef, basis.degree)(x)
         np.testing.assert_allclose(B[:, k], ref, atol=1e-12)
-
-
-def test_eval_index_out_of_range():
-    basis = BSplineBasis(1, np.array([0.0, 0.0, 1.0, 2.0, 2.0]))
-    with pytest.raises(ValueError, match="out of range"):
-        bspline_eval(basis, basis.K, 0.5)
-    with pytest.raises(ValueError):
-        bspline_eval(basis, -1, 0.5)
 
 
 def test_basis_validation():
@@ -160,26 +156,26 @@ def test_design_row_pinned_only():
     spec = SieveSpec(
         components=(IdentityComponent(input=Coordinate(0), coefficient=1.0, pinned=True),),
     )
-    row, offset = design_row(spec, [2.5, 7.0])
-    assert row.size == 0
-    assert offset == 2.5
+    D, offset = design_matrix(spec, [[2.5, 7.0]])
+    assert D[0].size == 0
+    assert offset[0] == 2.5
     assert spec.n_free == 0
 
 
 def test_design_row_spline_partition():
     basis = BSplineBasis(1, make_knot_vector(np.linspace(0, 1, 11), 1, 2))
     spec = SieveSpec(components=(SplineComponent(input=Coordinate(1), basis=basis),))
-    row, offset = design_row(spec, [9.9, 0.4])
-    assert row.size == 4
-    assert offset == 0.0
-    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+    D, offset = design_matrix(spec, [[9.9, 0.4]])
+    assert D[0].size == 4
+    assert offset[0] == 0.0
+    assert D[0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_design_row_product_selector():
     basis = BSplineBasis(2, make_knot_vector(np.linspace(0, 10, 101), 2, 1))
     spec = SieveSpec(components=(SplineComponent(input=Product(0, 1), basis=basis),))
-    row, _ = design_row(spec, [2.0, 3.0])
-    np.testing.assert_allclose(row, basis.evaluate_all([6.0])[0], atol=1e-15)
+    D, _ = design_matrix(spec, [[2.0, 3.0]])
+    np.testing.assert_allclose(D[0], basis.evaluate_all([6.0])[0], atol=1e-15)
 
 
 def test_design_reconstructs_phi():
@@ -221,7 +217,7 @@ def test_design_reconstructs_phi():
 def test_selector_out_of_range():
     spec = _spec_pinned_plus_spline()
     with pytest.raises(ValueError, match="out of range"):
-        design_row(spec, [1.0])
+        design_matrix(spec, [[1.0]])
 
 
 def test_spec_requires_components():
@@ -243,10 +239,10 @@ def test_anchor_shifts_to_value():
     spec = _spec_pinned_plus_spline(norm=Anchor(point=np.zeros(2), value=0.0))
     rng = np.random.default_rng(4)
     est = _fitted(spec, rng.normal(size=spec.n_free))
-    raw_at_anchor = est.value([0.0, 0.0])
+    raw_at_anchor = est.values([[0.0, 0.0]])[0]
     assert raw_at_anchor != 0.0
     out = apply_normalization(est)
-    assert out.value([0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert out.values([[0.0, 0.0]])[0] == pytest.approx(0.0, abs=1e-12)
     assert out.shift == pytest.approx(-raw_at_anchor, abs=1e-12)
 
 
@@ -270,8 +266,8 @@ def test_two_point_normalization_exact():
     )
     est = _fitted(spec, np.random.default_rng(5).normal(size=spec.n_free))
     out = apply_normalization(est)
-    assert out.value([-20.0, -20.0]) == pytest.approx(0.0, abs=1e-12)
-    assert out.value([50.0, 50.0]) == pytest.approx(1.0, abs=1e-12)
+    assert out.values([[-20.0, -20.0]])[0] == pytest.approx(0.0, abs=1e-12)
+    assert out.values([[50.0, 50.0]])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_point_requires_nonconstant():
@@ -284,6 +280,8 @@ def test_two_point_requires_nonconstant():
     est = _fitted(spec, [2.0])
     with pytest.raises(NumericalError, match="constant"):
         apply_normalization(est)
+    with pytest.raises(ValueError, match="same dimension"):
+        TwoPoint(point1=np.array([1.0, 5.0]), value1=0.0, point2=np.array([2.0]), value2=1.0)
 
 
 def test_normalization_idempotent_and_order_preserving():
