@@ -46,7 +46,6 @@ from .sieve import (
     design_matrix,
     make_knot_vector,
     sieve_spec_from_json,
-    sieve_spec_to_json,
 )
 from .simulate import (
     DgpConfig,
@@ -120,7 +119,6 @@ __all__ = [
     "run_monte_carlo",
     "series_ols",
     "sieve_spec_from_json",
-    "sieve_spec_to_json",
     "summary_stats",
     "write_summary_csvs",
 ]

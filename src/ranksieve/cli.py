@@ -20,6 +20,7 @@ import csv
 import glob
 import json
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -59,14 +60,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_json(path: str) -> dict:
+def _read_config(path: str, build: Callable):
+    """``build`` applied to the JSON object in ``path``.
+
+    An unreadable file, invalid JSON, or an object ``build`` rejects (a
+    missing key, an out-of-range index, a value of the wrong type or range)
+    becomes a :class:`ConfigError` that names the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _build_grid(obj: dict) -> np.ndarray:
@@ -80,26 +93,21 @@ def _build_grid(obj: dict) -> np.ndarray:
                    "base": [...]}}                           row-major product grid
     """
     if "points" in obj:
-        pts = np.asarray(obj["points"], dtype=float)
-        return np.atleast_2d(pts)
-    if "linspace" in obj:
-        spec = obj["linspace"]
-        base = np.asarray(spec["base"], dtype=float)
-        vals = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
-        pts = np.tile(base, (vals.size, 1))
-        pts[:, int(spec["coord"])] = vals
-        return pts
-    if "product" in obj:
+        return np.atleast_2d(np.asarray(obj["points"], dtype=float))
+    if "linspace" in obj:  # a product grid with one axis
+        spec = {"axes": [obj["linspace"]], "base": obj["linspace"]["base"]}
+    elif "product" in obj:
         spec = obj["product"]
-        base = np.asarray(spec["base"], dtype=float)
-        axes = spec["axes"]
-        grids = [np.linspace(float(a["start"]), float(a["stop"]), int(a["num"])) for a in axes]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        pts = np.tile(base, (mesh[0].size, 1))
-        for axis, m in zip(axes, mesh):
-            pts[:, int(axis["coord"])] = m.ravel()
-        return pts
-    raise ConfigError("grid file must contain 'points', 'linspace' or 'product'")
+    else:
+        raise ValueError("grid must contain 'points', 'linspace' or 'product'")
+    base = np.asarray(spec["base"], dtype=float)
+    axes = spec["axes"]
+    grids = [np.linspace(float(a["start"]), float(a["stop"]), int(a["num"])) for a in axes]
+    mesh = np.meshgrid(*grids, indexing="ij")
+    pts = np.tile(base, (mesh[0].size, 1))
+    for axis, m in zip(axes, mesh):
+        pts[:, int(axis["coord"])] = m.ravel()
+    return pts
 
 
 def _write_curve_csv(path: str, grid: np.ndarray, columns: dict) -> None:
@@ -118,15 +126,12 @@ def _write_curve_csv(path: str, grid: np.ndarray, columns: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    obj = _load_json(args.config)
-    if args.seed is not None:
-        obj["master_seed"] = args.seed
-    if args.replications is not None:
-        obj["replications"] = args.replications
-    try:
-        cfg = MCConfig.from_dict(obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    overrides = {
+        key: value
+        for key, value in (("master_seed", args.seed), ("replications", args.replications))
+        if value is not None
+    }
+    cfg = _read_config(args.config, lambda obj: MCConfig.from_dict({**obj, **overrides}))
     summary = run_monte_carlo(cfg)
     paths = write_summary_csvs(summary, args.out_dir)
     for cell in summary.cells:
@@ -141,7 +146,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _make_variant(args, sample):
+def _make_variant(args):
     if args.variant == "full":
         return FullRank()
     if args.variant == "discrete-w":
@@ -158,16 +163,22 @@ def _make_variant(args, sample):
     return Pairwise(kernel)
 
 
-def _cmd_estimate(args) -> int:
-    schema = DatasetSchema.from_dict(_load_json(args.schema))
+def _load_dataset(args):
+    """Schema and sample named by --schema and --data; prints the row counts."""
+    schema = _read_config(args.schema, DatasetSchema.from_dict)
     sample, report = load_csv(args.data, schema)
     print(
         f"loaded {report.rows_kept} rows from {args.data} "
         f"({report.rows_dropped} dropped of {report.rows_read})"
     )
-    spec = sieve_spec_from_json(_load_json(args.spec), z=sample.z)
-    variant = _make_variant(args, sample)
-    grid = _build_grid(_load_json(args.grid))
+    return schema, sample
+
+
+def _cmd_estimate(args) -> int:
+    _, sample = _load_dataset(args)
+    spec = _read_config(args.spec, lambda obj: sieve_spec_from_json(obj, z=sample.z))
+    variant = _make_variant(args)
+    grid = _read_config(args.grid, _build_grid)
     if grid.shape[1] != sample.d_z:
         raise ConfigError(
             f"grid dimension {grid.shape[1]} does not match regressor dimension {sample.d_z}"
@@ -220,12 +231,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_summary(args) -> int:
-    schema = DatasetSchema.from_dict(_load_json(args.schema))
-    sample, report = load_csv(args.data, schema)
-    print(
-        f"loaded {report.rows_kept} rows from {args.data} "
-        f"({report.rows_dropped} dropped of {report.rows_read})"
-    )
+    schema, sample = _load_dataset(args)
     header = ["column", "min", "q1", "median", "mean", "q3", "max"]
     print("  ".join(f"{h:>10}" for h in header))
     columns = [(schema.y_column, sample.y)]

@@ -41,6 +41,9 @@ from .rankcrit import (  # the variant classes are re-exported from here
 from .rankcrit import kernel_weights, rank_strict_less
 from .sieve import PhiEstimate, SieveSpec, apply_normalization, design_matrix
 
+F_TOL = 1e-10  # simplex value-spread tolerance
+X_TOL = 1e-6  # simplex parameter-spread tolerance
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -48,22 +51,20 @@ class OptimizerConfig:
 
     ``init_scale`` is the half-width of the uniform box from which each
     start's coefficients are drawn; the initial simplex step is half of it.
-    ``f_tol``/``x_tol`` are the simplex value-spread and parameter-spread
-    tolerances, combined with OR (see module docstring).
+    The stopping tolerances are the module constants ``F_TOL`` and
+    ``X_TOL``, combined with OR (see module docstring).
     """
 
     n_starts: int = 20
     max_iters: int = 400
     init_scale: float = 1.0
-    f_tol: float = 1e-10
-    x_tol: float = 1e-6
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1 or self.max_iters < 1:
             raise ValueError("n_starts and max_iters must be positive")
-        if self.init_scale <= 0 or self.f_tol <= 0 or self.x_tol <= 0:
-            raise ValueError("init_scale, f_tol, x_tol must be positive")
+        if self.init_scale <= 0:
+            raise ValueError("init_scale must be positive")
 
 
 def _build_objective(
@@ -89,8 +90,8 @@ def _nelder_mead(f, x0: np.ndarray, step: float, cfg: OptimizerConfig):
     """Minimize f from x0; returns (x, fx).
 
     Standard reflect/expand/contract/shrink moves (1, 2, 1/2, 1/2).  Stops
-    on value-spread < f_tol (plateau: the simplex sits inside one constant
-    piece) or parameter-spread < x_tol, whichever comes first.  On a
+    on value-spread < F_TOL (plateau: the simplex sits inside one constant
+    piece) or parameter-spread < X_TOL, whichever comes first.  On a
     plateau stop the centroid of the final simplex replaces the best vertex
     unless it evaluates worse.
     """
@@ -107,10 +108,10 @@ def _nelder_mead(f, x0: np.ndarray, step: float, cfg: OptimizerConfig):
         order = np.argsort(fsim, kind="stable")
         sim, fsim = sim[order], fsim[order]
 
-        if fsim[-1] - fsim[0] < cfg.f_tol:
+        if fsim[-1] - fsim[0] < F_TOL:
             plateau = True
             break
-        if np.max(np.abs(sim[1:] - sim[0])) < cfg.x_tol:
+        if np.max(np.abs(sim[1:] - sim[0])) < X_TOL:
             break
 
         centroid = np.mean(sim[:-1], axis=0)

@@ -15,7 +15,7 @@ functions are pinned down by an anchor-point (location) or two-point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -348,25 +348,12 @@ def apply_normalization(estimate: PhiEstimate) -> PhiEstimate:
             )
         scale = (norm.value2 - norm.value1) / (r2 - r1)
         shift = norm.value1 - scale * r1
-    return PhiEstimate(
-        spec=estimate.spec,
-        coefficients=estimate.coefficients,
-        criterion_value=estimate.criterion_value,
-        scale=scale,
-        shift=shift,
-        degenerate=estimate.degenerate,
-    )
+    return replace(estimate, scale=scale, shift=shift)
 
 
 # --------------------------------------------------------------------------
-# JSON serialization
+# JSON reading
 # --------------------------------------------------------------------------
-
-
-def _selector_to_json(sel: RegressorSelector) -> dict:
-    if isinstance(sel, Coordinate):
-        return {"coord": sel.index}
-    return {"product": [sel.i, sel.j]}
 
 
 def _selector_from_json(obj: dict) -> RegressorSelector:
@@ -378,45 +365,8 @@ def _selector_from_json(obj: dict) -> RegressorSelector:
     raise ValueError(f"unknown selector object: {obj!r}")
 
 
-def sieve_spec_to_json(spec: SieveSpec) -> dict:
-    """JSON-compatible dict for a spec; spline knots are embedded."""
-    comps = []
-    for comp in spec.components:
-        if isinstance(comp, IdentityComponent):
-            comps.append(
-                {
-                    "type": "identity",
-                    "input": _selector_to_json(comp.input),
-                    "coefficient": comp.coefficient,
-                    "pinned": comp.pinned,
-                }
-            )
-        else:
-            comps.append(
-                {
-                    "type": "spline",
-                    "input": _selector_to_json(comp.input),
-                    "degree": comp.basis.degree,
-                    "n_interior": comp.basis.knots.size - 2 * (comp.basis.degree + 1),
-                    "knots": [float(t) for t in comp.basis.knots],
-                }
-            )
-    norm = spec.normalization
-    if isinstance(norm, NoNormalization):
-        nj = {"type": "none"}
-    elif isinstance(norm, Anchor):
-        nj = {"type": "anchor", "point": [float(v) for v in norm.point], "value": norm.value}
-    else:
-        nj = {
-            "type": "two_point",
-            "points": [[float(v) for v in norm.point1], [float(v) for v in norm.point2]],
-            "values": [norm.value1, norm.value2],
-        }
-    return {"components": comps, "normalization": nj}
-
-
 def sieve_spec_from_json(obj: dict, z: Optional[np.ndarray] = None) -> SieveSpec:
-    """Rebuild a spec from its JSON form.
+    """Build a spec from its JSON form.
 
     Spline entries without embedded knots are templates: the knot vector is
     then built from the selected column of ``z`` via empirical quantiles,

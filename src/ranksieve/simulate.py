@@ -15,8 +15,8 @@ approximated numerically from a large fresh draw.  The harness fits the
 rank estimator and the series least-squares comparison on each replication,
 anchors both (and the target curve sin) at the point (0, 0), scores mean
 squared error on a fixed grid, runs a two-sample Kolmogorov-Smirnov test of
-Y against Y*, and accumulates pointwise median and 0.05/0.95 quantile
-curves across replications.
+Y against Y*, and accumulates pointwise median curves of both estimators
+(plus 0.05/0.95 quantile curves of the rank estimator) across replications.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class DgpConfig:
     """Parameterization of one synthetic-data configuration.
 
     ``a``/``b`` are the slopes of the outcome distortion below/above its
-    kinks (1 = no distortion, 0 = hard censoring of the tails).
-    ``u_scale``/``v_scale`` exist as test hooks to switch off individual
-    noise components; production configurations leave them at 1.
+    kinks (1 = no distortion, 0 = hard censoring of the tails).  The
+    noise terms U and V are part of the measurement-error model and always
+    enter with unit scale.
     """
 
     variant: str = "baseline"
@@ -91,8 +91,6 @@ class DgpConfig:
     b: float = 0.5
     quantile_approx_draws: int = 1_000_000
     seed: int = 0
-    u_scale: float = 1.0
-    v_scale: float = 1.0
 
     def __post_init__(self):
         if self.variant not in ("baseline", "weighted"):
@@ -105,8 +103,6 @@ class DgpConfig:
             raise ValueError("slopes a, b must be non-negative")
         if self.quantile_approx_draws < 10_000:
             raise ValueError("quantile_approx_draws must be at least 10^4")
-        if self.u_scale < 0 or self.v_scale < 0:
-            raise ValueError("u_scale and v_scale must be non-negative")
 
 
 def h_piecewise(ystar, q30: float, q70: float, a: float, b: float):
@@ -136,7 +132,7 @@ def _draw_latent(cfg: DgpConfig, rng: np.random.Generator, size: int):
     """
     z1 = 1.0 + cfg.sigma * rng.standard_normal(size)
     z2 = rng.uniform(-cfg.c, cfg.c, size)
-    u = cfg.u_scale * rng.standard_normal(size)
+    u = rng.standard_normal(size)
     if cfg.variant == "baseline":
         ystar = z1 + np.sin(z2) + u
         return z1, z2, None, ystar, ystar
@@ -162,7 +158,6 @@ class GeneratedSample(NamedTuple):
 
     sample: Sample
     ystar: np.ndarray
-    g_values: np.ndarray  # sin(Z2) per observation, the target curve
     q30: float
     q70: float
 
@@ -176,13 +171,13 @@ def generate(cfg: DgpConfig) -> GeneratedSample:
     q30, q70 = approximate_quantiles(cfg)
     rng = _substream(cfg.seed, 1)
     z1, z2, w, ystar, h_arg = _draw_latent(cfg, rng, cfg.n)
-    v = cfg.v_scale * rng.standard_normal(cfg.n)
+    v = rng.standard_normal(cfg.n)
     y = h_piecewise(h_arg, q30, q70, cfg.a, cfg.b)
     if w is None:
         sample = Sample(y=y + v, z=np.column_stack([z1, z2]))
     else:
         sample = Sample(y=y + v * np.abs(w), z=np.column_stack([z1, z2]), w=w[:, None])
-    return GeneratedSample(sample, ystar, np.sin(z2), q30, q70)
+    return GeneratedSample(sample, ystar, q30, q70)
 
 
 # --------------------------------------------------------------------------
@@ -248,11 +243,10 @@ def ks_two_sample(x, y) -> KsResult:
 class MCConfig:
     """Monte Carlo sweep over (sigma, c, K) cells.
 
-    ``K`` labels the sieve dimension of the spline block.  Under the
-    default ``k_convention='pinned'`` the spline has K+1 basis functions of
-    the configured degree (the anchor normalization absorbs the constant
-    direction, leaving K effective dimensions), i.e. K - degree interior
-    knots; under ``'raw'`` the block has exactly K basis functions.
+    ``K`` labels the sieve dimension of the spline block: the spline has
+    K+1 basis functions of the configured degree (the anchor normalization
+    absorbs the constant direction, leaving K effective dimensions), i.e.
+    K - degree interior knots.
     """
 
     variant: str = "baseline"
@@ -265,7 +259,6 @@ class MCConfig:
     replications: int = 200
     master_seed: int = 0
     spline_degree: int = 2
-    k_convention: str = "pinned"
     grid_points: int = 101
     grid_margin: float = 0.1
     quantile_approx_draws: int = 1_000_000
@@ -290,16 +283,11 @@ class MCConfig:
         for sigma in self.sigma:
             for c in self.c:
                 self._dgp_config(sigma, c, seed=0)  # the DGP's own field checks
-        if self.k_convention not in ("pinned", "raw"):
-            raise ValueError("k_convention must be 'pinned' or 'raw'")
         if self.spline_degree < 0:
             raise ValueError("spline_degree must be non-negative")
         for k in self.K:
             if self.n_interior_for(k) < 0:
-                raise ValueError(
-                    f"K={k} is too small for degree {self.spline_degree} "
-                    f"under the {self.k_convention!r} convention"
-                )
+                raise ValueError(f"K={k} is too small for degree {self.spline_degree}")
         if self.grid_points < 1 or self.grid_margin < 0:
             raise ValueError("invalid evaluation grid")
         if self.aggregation not in ("ls", "lad"):
@@ -316,8 +304,7 @@ class MCConfig:
         return DgpConfig(sigma=sigma, c=c, seed=seed, **{k: getattr(self, k) for k in shared})
 
     def n_interior_for(self, k: int) -> int:
-        extra = 0 if self.k_convention == "raw" else 1
-        return k + extra - self.spline_degree - 1
+        return k - self.spline_degree
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MCConfig":
@@ -345,7 +332,6 @@ class CellSummary(NamedTuple):
     n_degenerate: int
     mse_rank: float
     mse_ols: float
-    ks_reject_count: int
     ks_reject_rate: float
     grid: np.ndarray
     truth: np.ndarray
@@ -353,8 +339,6 @@ class CellSummary(NamedTuple):
     rank_q05: np.ndarray
     rank_q95: np.ndarray
     ols_median: np.ndarray
-    ols_q05: np.ndarray
-    ols_q95: np.ndarray
     seconds: float
 
     @property
@@ -535,16 +519,14 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
             rank_stack = np.vstack([r["rank_curve"] for r in ok])
             ols_stack = np.vstack([r["ols_curve"] for r in ok])
             rank_q = np.quantile(rank_stack, [0.05, 0.5, 0.95], axis=0)
-            ols_q = np.quantile(ols_stack, [0.05, 0.5, 0.95], axis=0)
+            ols_median = np.quantile(ols_stack, 0.5, axis=0)
             mse_rank = float(np.mean([r["mse_rank"] for r in ok]))
             mse_ols = float(np.mean([r["mse_ols"] for r in ok]))
-            ks_count = int(sum(r["ks_reject"] for r in ok))
-            ks_rate = ks_count / len(ok)
+            ks_rate = sum(r["ks_reject"] for r in ok) / len(ok)
         else:
             nanrow = np.full_like(tgrid, np.nan)
-            rank_q = ols_q = np.vstack([nanrow] * 3)
-            mse_rank = mse_ols = float("nan")
-            ks_count, ks_rate = 0, float("nan")
+            rank_q, ols_median = np.vstack([nanrow] * 3), nanrow
+            mse_rank = mse_ols = ks_rate = float("nan")
         cell_summaries.append(
             CellSummary(
                 sigma=sigma,
@@ -556,16 +538,13 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
                 n_degenerate=int(sum(r["degenerate"] for r in ok)),
                 mse_rank=mse_rank,
                 mse_ols=mse_ols,
-                ks_reject_count=ks_count,
                 ks_reject_rate=ks_rate,
                 grid=tgrid,
                 truth=truth,
                 rank_median=rank_q[1],
                 rank_q05=rank_q[0],
                 rank_q95=rank_q[2],
-                ols_median=ols_q[1],
-                ols_q05=ols_q[0],
-                ols_q95=ols_q[2],
+                ols_median=ols_median,
                 seconds=float(sum(r["seconds"] for r in reps)),
             )
         )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ranksieve import MCConfig
 from ranksieve.cli import main
 
 
@@ -99,11 +100,15 @@ def test_estimate_weighted_variant(dataset, tmp_path):
     assert len(_read_csv(out)) == 11
 
 
-def test_estimate_readme_spec(dataset, tmp_path):
+def _readme_json_block(after):
+    """The first ```json block of README.md that follows the text ``after``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("`sieve.json` is the spec")[1].split("```json")[1].split("```")[0]
+    return readme.split(after)[1].split("```json")[1].split("```")[0]
+
+
+def test_estimate_readme_spec(dataset, tmp_path):
     spec = tmp_path / "readme_spec.json"
-    spec.write_text(block)
+    spec.write_text(_readme_json_block("`sieve.json` is the spec"))
     out = tmp_path / "curves.csv"
     code = main(
         [
@@ -180,6 +185,27 @@ def test_estimate_config_errors_exit_1(dataset, tmp_path):
             + variant_args
         )
         assert code == 1
+
+
+def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys):
+    cases = [
+        ("schema", {"z_columns": ["z1", "z2"]}, "missing key 'y_column'"),
+        ("spec", {"components": [{"type": "spline", "degree": 2, "n_interior": 1}]},
+         "missing key 'input'"),
+        ("grid", {"linspace": {"coord": 1, "start": -1.0, "num": 3, "base": [0.0, 0.0]}},
+         "missing key 'stop'"),
+        ("grid", {"linspace": {"coord": 7, "start": -1.0, "stop": 1.0, "num": 3,
+                               "base": [0.0, 0.0]}}, "out of bounds"),
+    ]
+    for option, obj, detail in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        files = dict(dataset, **{option: str(bad)})
+        argv = ["estimate", "--out", str(tmp_path / "x.csv")]
+        argv += [arg for name, path in files.items() for arg in (f"--{name}", path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {bad}: " in err and detail in err
 
 
 def test_estimate_numerical_failure_exit_3(dataset, tmp_path):
@@ -385,10 +411,20 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert ta != tb
 
 
+def test_simulate_readme_config_loads():
+    cfg = MCConfig.from_dict(json.loads(_readme_json_block("`mc.json` holds an `MCConfig` object")))
+    assert cfg.K == (3, 4, 5, 6)
+    assert cfg.optimizer.n_starts == 20
+
+
 def test_simulate_bad_config_exit_1(tmp_path):
     cfg_path = tmp_path / "mc.json"
     cfg_path.write_text(json.dumps({"replications": 0}))
     assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+    # a config that is not a JSON object, with an override applied to it
+    cfg_path.write_text(json.dumps([1, 2]))
+    args = ["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"), "--seed", "3"]
+    assert main(args) == 1
 
 
 def test_grid_builder_forms():

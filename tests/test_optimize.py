@@ -220,7 +220,7 @@ def test_series_ols_interpolates_exact_spline_signal():
 
 def test_series_ols_flat_when_no_signal():
     cfg = DgpConfig(n=400, sigma=1.0, c=3.0, a=1.0, b=1.0, seed=9,
-                    quantile_approx_draws=10_000, u_scale=0.0, v_scale=0.0)
+                    quantile_approx_draws=10_000)
     gen = generate(cfg)
     y = gen.sample.z[:, 0]  # replace outcome: exactly the pinned term, no z2 signal
     sample = Sample(y=y, z=gen.sample.z)

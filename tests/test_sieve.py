@@ -19,7 +19,6 @@ from ranksieve import (
     design_matrix,
     make_knot_vector,
     sieve_spec_from_json,
-    sieve_spec_to_json,
 )
 
 from oracles import naive_bspline, type1_quantile
@@ -310,20 +309,30 @@ def test_coefficient_length_checked():
 
 
 # --------------------------------------------------------------------------
-# serialization
+# JSON specs
 # --------------------------------------------------------------------------
 
 
-def test_spec_json_round_trip():
-    spec = _spec_pinned_plus_spline(norm=Anchor(point=np.zeros(2), value=0.0))
-    obj = sieve_spec_to_json(spec)
-    obj = json.loads(json.dumps(obj))  # through real JSON
-    back = sieve_spec_from_json(obj)
-    assert back.n_free == spec.n_free
-    np.testing.assert_array_equal(back.components[1].basis.knots, spec.components[1].basis.knots)
-    assert isinstance(back.normalization, Anchor)
-    again = sieve_spec_to_json(back)
-    assert again == obj
+def test_spec_json_with_embedded_knots():
+    text = """{
+      "components": [
+        {"type": "identity", "input": {"coord": 0}, "pinned": true, "coefficient": 1.5},
+        {"type": "spline", "input": {"coord": 1}, "degree": 2,
+         "knots": [-3, -3, -3, -0.5, 1, 3, 3, 3]},
+        {"type": "identity", "input": {"product": [0, 1]}, "pinned": false}
+      ],
+      "normalization": {"type": "anchor", "point": [0, 0], "value": 0.25}
+    }"""
+    spec = sieve_spec_from_json(json.loads(text))
+    ident, spline, inter = spec.components
+    assert ident == IdentityComponent(input=Coordinate(0), coefficient=1.5, pinned=True)
+    assert spline.input == Coordinate(1) and spline.basis.degree == 2
+    np.testing.assert_array_equal(spline.basis.knots, [-3, -3, -3, -0.5, 1, 3, 3, 3])
+    assert inter.input == Product(0, 1) and not inter.pinned
+    assert spec.n_free == 5 + 1
+    assert isinstance(spec.normalization, Anchor)
+    np.testing.assert_array_equal(spec.normalization.point, [0.0, 0.0])
+    assert spec.normalization.value == 0.25
 
 
 def test_spec_template_binds_knots_from_data():
