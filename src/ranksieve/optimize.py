@@ -207,22 +207,23 @@ def maximize_rank_criterion(
 
 
 def _deficient_columns(X: np.ndarray) -> list[int]:
-    """Indices of columns that are (numerically) linear combinations of earlier ones."""
-    rtol = 1e-10  # residual norm threshold, relative to max(column norm, 1)
+    """Indices of columns that are (numerically) linear combinations of earlier ones.
+
+    Column j counts as dependent when |R[j, j]| of the unpivoted QR
+    factorization, the norm of its residual after projection on the earlier
+    columns, is at most 1e-10 * max(column norm, 1).  With fewer rows than
+    columns, every column from index n on counts as dependent once the first
+    n are independent; a dependent column among them still uses up one of
+    the n Householder steps, so the others are judged again without it.
+    """
     n, k = X.shape
-    basis = np.zeros((n, 0))
-    bad = []
-    for j in range(k):
-        col = X[:, j]
-        orig = np.linalg.norm(col)
-        resid = col - basis @ (basis.T @ col)
-        resid = resid - basis @ (basis.T @ resid)  # one re-orthogonalization pass
-        rnorm = np.linalg.norm(resid)
-        if rnorm <= rtol * max(orig, 1.0):
-            bad.append(j)
-        else:
-            basis = np.column_stack([basis, resid / rnorm])
-    return bad
+    resid = np.abs(np.diagonal(np.linalg.qr(X, mode="r")))
+    scale = np.maximum(np.linalg.norm(X[:, : resid.size], axis=0), 1.0)
+    bad = np.flatnonzero(resid <= 1e-10 * scale)
+    if k <= n or bad.size == 0:
+        return bad.tolist() + list(range(n, k))
+    rest = np.delete(np.arange(k), bad)
+    return sorted(bad.tolist() + rest[_deficient_columns(X[:, rest])].tolist())
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,30 +233,29 @@ def ols_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def series_ols(sample: Sample, spec: SieveSpec) -> PhiEstimate:
-    """Series regression of y on the spec's free-coefficient columns.
+    """Series regression of y on the span of the spec's free-coefficient columns.
 
-    Pinned identity terms are moved to the response.  An intercept column
-    is added only when the free columns do not already span constants (a
-    clamped B-spline block does, by partition of unity); either way the
+    Pinned identity terms are moved to the response, and an intercept
+    column is appended after the free columns.  Every column of that design
+    that is a linear combination of earlier ones is left out of the fit and
+    gets coefficient 0: the intercept when the free columns already span
+    constants (a clamped B-spline block does, by partition of unity), the
+    last column of each further spline block, a repeated column, and with
+    fewer rows than columns every column after the first n independent
+    ones.  The fit therefore spans all free columns, for any spec.  The
     normalization step absorbs the location, so no intercept is stored.
-    Raises on a rank-deficient design, reporting the dependent
-    free-coefficient column indices.  The stored criterion_value is the
-    plain rank criterion of the fitted values, which makes it comparable
-    with rank-estimator fits.
+    The stored criterion_value is the plain rank criterion of the fitted
+    values, which makes it comparable with rank-estimator fits.
     """
     D, offset = design_matrix(spec, sample.z)
     k = D.shape[1]
     if k == 0:
         raise NumericalError("spec has no free coefficients to fit")
-    sweep = _deficient_columns(np.column_stack([D, np.ones(sample.n)]))
-    bad = [j for j in sweep if j < k]
-    if bad:
-        raise NumericalError(
-            f"rank-deficient design: free-coefficient columns {bad} are "
-            "linear combinations of earlier columns"
-        )
-    X = D if k in sweep else np.column_stack([D, np.ones(sample.n)])
-    beta = ols_fit(X, sample.y - offset)
+    X = np.column_stack([D, np.ones(sample.n)])
+    keep = np.ones(k + 1, dtype=bool)
+    keep[_deficient_columns(X)] = False
+    beta = np.zeros(k + 1)
+    beta[keep] = ols_fit(X[:, keep], sample.y - offset)
     gamma = beta[:k]
     crit = rank_criterion(sample, offset + D @ gamma)
     estimate = PhiEstimate(spec=spec, coefficients=gamma, criterion_value=crit)

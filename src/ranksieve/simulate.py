@@ -40,7 +40,6 @@ from .optimize import (
     _mask64,
     evaluate_on_grid,
     maximize_rank_criterion,
-    ols_fit,
     series_ols,
 )
 from .rankcrit import KernelSpec, Sample, bind_criterion
@@ -49,13 +48,13 @@ from .sieve import (
     BSplineBasis,
     Coordinate,
     IdentityComponent,
-    PhiEstimate,
     SieveSpec,
     SplineComponent,
-    apply_normalization,
-    design_matrix,
     make_knot_vector,
 )
+# bench/layers.py wraps these three by name on this module, so they stay importable here
+from .optimize import ols_fit
+from .sieve import apply_normalization, design_matrix
 
 
 def _substream(seed: int, tag: int) -> np.random.Generator:
@@ -426,7 +425,9 @@ def _run_replication(cfg: MCConfig, cell_index: int, rep: int) -> dict:
 def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
     """Local window fits at drawn control values, combined pointwise.
 
-    Returns the aggregated curve and the number of degenerate local fits.
+    A draw is skipped when fewer than n_free + 2 rows have positive kernel
+    weight, whatever the kernel.  Returns the aggregated curve and the
+    number of degenerate local fits.
     """
     w_flat = sample.w[:, 0]
     s = cfg.bandwidth_scale * float(np.std(w_flat))
@@ -442,7 +443,7 @@ def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
     n_degenerate = 0
     for d, w0 in enumerate(w_draws):
         variant = Weighted(np.array([w0]), kernel)
-        if cfg.kernel == "uniform" and bind_criterion(sample, variant).n_used < min_window:
+        if bind_criterion(sample, variant).n_used < min_window:
             continue
         opt = replace(
             cfg.local_optimizer,
@@ -464,20 +465,12 @@ def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
 def _weighted_series_curve(cfg, sample, K, grid_pts):
     """Series fit of the error-free additive model Z1 + g(Z2) + m(W).
 
-    Both spline blocks span constants (partition of unity), so the additive
-    design is short by one rank; the constant direction of the W block is
-    removed by pinning its first coefficient to zero, which leaves the
-    additive span, and hence the anchored g-curve, unchanged.
+    W enters as a third regressor with its own spline block; ``series_ols``
+    fits the span of both blocks, and the curve is read off at W = 0.
     """
     z_aug = np.column_stack([sample.z, sample.w[:, 0]])
     spec = _spline_spec(z_aug[:, 1:], cfg.spline_degree, cfg.n_interior_for(K))
-    D, offset = design_matrix(spec, z_aug)
-    keep = np.ones(D.shape[1], dtype=bool)
-    keep[spec.components[1].basis.K] = False  # first coefficient of the W block
-    beta = ols_fit(D[:, keep], sample.y - offset)
-    gamma = np.zeros(D.shape[1])
-    gamma[keep] = beta
-    fit = apply_normalization(PhiEstimate(spec=spec, coefficients=gamma, criterion_value=0.0))
+    fit = series_ols(Sample(y=sample.y, z=z_aug), spec)
     return evaluate_on_grid(fit, np.column_stack([grid_pts, np.zeros(len(grid_pts))]))
 
 

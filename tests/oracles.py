@@ -154,3 +154,29 @@ def bruteforce_rank_criterion_pairwise(sample, phi_values, spec):
             if j != i and phi[i] > phi[j]:
                 total += sample.y[i] * product_kernel(spec, sample.w[i], sample.w[j])
     return total / (n * (n - 1))
+
+
+# --------------------------------------------------------------------------
+# series least squares on additive spline designs
+# --------------------------------------------------------------------------
+
+
+def pinned_block_lstsq(D, y, block_sizes):
+    """Least squares of y on D with the first coefficient of every later block pinned to 0.
+
+    D holds consecutive spline blocks of the given sizes.  Each clamped block
+    sums to one, so each later block repeats the constant direction of the
+    first; dropping its first column removes that repeat and leaves the span.
+    """
+    keep = np.ones(D.shape[1], dtype=bool)
+    keep[np.cumsum(block_sizes)[:-1]] = False
+    beta, *_ = np.linalg.lstsq(D[:, keep], y, rcond=None)
+    gamma = np.zeros(D.shape[1])
+    gamma[keep] = beta
+    return gamma
+
+
+def dependent_prefix_columns(X):
+    """{j : rank(X[:, :j+1]) == rank(X[:, :j])}, by SVD ranks of every prefix."""
+    ranks = [0] + [int(np.linalg.matrix_rank(X[:, : j + 1])) for j in range(X.shape[1])]
+    return [j for j in range(X.shape[1]) if ranks[j + 1] == ranks[j]]

@@ -27,7 +27,8 @@ from ranksieve import (
     mse_on_grid,
     series_ols,
 )
-from ranksieve.optimize import _build_objective, ols_fit
+from ranksieve.optimize import _build_objective, _deficient_columns, ols_fit
+from ranksieve.sieve import PhiEstimate, apply_normalization
 from ranksieve.simulate import _spline_spec
 
 from oracles import (
@@ -35,6 +36,8 @@ from oracles import (
     bruteforce_rank_criterion_discrete_w,
     bruteforce_rank_criterion_pairwise,
     bruteforce_rank_criterion_weighted,
+    dependent_prefix_columns,
+    pinned_block_lstsq,
 )
 
 
@@ -247,18 +250,90 @@ def test_series_ols_normal_equations():
     assert np.max(np.abs(D.T @ resid)) < 1e-8
 
 
-def test_series_ols_reports_rank_deficiency():
+def test_series_ols_duplicated_column_gets_zero():
     rng = np.random.default_rng(8)
     n = 50
     z = rng.normal(size=(n, 1))
+    y = rng.normal(size=n)
     spec = SieveSpec(
         components=(
             IdentityComponent(input=Coordinate(0), coefficient=0.0, pinned=False),
             IdentityComponent(input=Coordinate(0), coefficient=0.0, pinned=False),
         )
     )
-    with pytest.raises(NumericalError, match=r"\[1\]"):
-        series_ols(Sample(y=rng.normal(size=n), z=z), spec)
+    fit = series_ols(Sample(y=y, z=z), spec)
+    assert fit.coefficients[1] == 0.0
+    D, offset = design_matrix(spec, z)
+    resid = (y - offset) - D @ fit.coefficients
+    resid = resid - resid.mean()  # the intercept column is fitted, not stored
+    assert np.max(np.abs(D.T @ resid)) < 1e-10
+
+
+def test_series_ols_wide_design_fits():
+    rng = np.random.default_rng(13)
+    z = np.sort(rng.uniform(-1, 1, 4))
+    y = rng.normal(size=4)
+    spec = _single_spline_spec(z, degree=2, n_interior=2)  # 5 columns plus intercept, 4 rows
+    fit = series_ols(Sample(y=y, z=z[:, None]), spec)
+    assert np.all(np.isfinite(fit.coefficients))
+    resid = y - fit.values(z[:, None])
+    np.testing.assert_allclose(resid - resid.mean(), 0.0, atol=1e-10)
+
+
+def _two_block_cases():
+    """(sample, spec, block sizes): z2 and W spline blocks, then z2 and z1*z2 blocks."""
+    for seed in range(3):
+        for degree, K in ((1, 3), (2, 4), (2, 6), (3, 5)):
+            rng = np.random.default_rng(100 + seed)
+            n = 400
+            z = np.column_stack(
+                [rng.normal(1, 1, n), rng.uniform(-3, 3, n), rng.normal(0, 1, n)]
+            )
+            y = z[:, 0] + np.sin(z[:, 1]) + np.cos(z[:, 2]) + rng.normal(size=n)
+            spec = _spline_spec(z[:, 1:], degree, K - degree)
+            yield Sample(y=y, z=z), spec, [K + 1, K + 1]
+            product = SplineComponent(
+                input=Product(0, 1),
+                basis=BSplineBasis(degree, make_knot_vector(z[:, 0] * z[:, 1], degree, 0)),
+            )
+            spec = SieveSpec(
+                components=_spline_spec(z[:, 1], degree, K - degree).components + (product,),
+                normalization=Anchor(point=np.zeros(3), value=0.0),
+            )
+            yield Sample(y=y, z=z), spec, [K + 1, degree + 1]
+
+
+def test_series_ols_two_blocks_matches_pinned_lstsq():
+    for sample, spec, sizes in _two_block_cases():
+        fit = series_ols(sample, spec)
+        D, offset = design_matrix(spec, sample.z)
+        gamma = pinned_block_lstsq(D, sample.y - offset, sizes)
+        ref = apply_normalization(PhiEstimate(spec=spec, coefficients=gamma, criterion_value=0.0))
+        tgrid = np.linspace(-2.9, 2.9, 59)
+        pts = np.vstack([np.column_stack([np.zeros(59), tgrid, np.zeros(59)]), sample.z[:100]])
+        np.testing.assert_allclose(
+            evaluate_on_grid(fit, pts), evaluate_on_grid(ref, pts), rtol=0, atol=1e-10
+        )
+
+
+def test_deficient_columns_match_prefix_ranks():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(k, 40))
+        X = rng.normal(size=(n, k)) * rng.choice([1e-3, 1.0, 1e3], size=k)
+        for j in rng.choice(np.arange(1, k), size=min(3, k - 1), replace=False):
+            kind = rng.integers(3)
+            if kind == 0:
+                X[:, j] = X[:, :j] @ rng.normal(size=j)  # combination of earlier columns
+            elif kind == 1:
+                X[:, j] = -3.0 * X[:, rng.integers(j)]  # scaled duplicate
+            else:
+                X[:, j] = 0.0
+        assert _deficient_columns(X) == dependent_prefix_columns(X), seed
+    wide = np.random.default_rng(41).normal(size=(5, 9))
+    wide[:, 2] = wide[:, 0] - wide[:, 1]  # leaves room for one more independent column
+    assert _deficient_columns(wide) == dependent_prefix_columns(wide) == [2, 6, 7, 8]
 
 
 def test_ols_core_invariant_to_column_mixing():

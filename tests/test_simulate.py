@@ -4,7 +4,9 @@ import pytest
 from ranksieve import (
     DgpConfig,
     MCConfig,
+    NumericalError,
     OptimizerConfig,
+    Sample,
     approximate_quantiles,
     generate,
     h_piecewise,
@@ -12,7 +14,13 @@ from ranksieve import (
     mse_on_grid,
     run_monte_carlo,
 )
-from ranksieve.simulate import _draw_latent, _kolmogorov_sf, _substream
+from ranksieve.simulate import (
+    _draw_latent,
+    _kolmogorov_sf,
+    _spline_spec,
+    _substream,
+    _weighted_replication,
+)
 
 from oracles import ecdf_sup_distance
 
@@ -257,6 +265,28 @@ def test_mc_weighted_smoke():
     cell = summary.cells[0]
     assert cell.n_failed == 0
     assert np.isfinite(cell.mse_rank) and np.isfinite(cell.mse_ols)
+
+
+@pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
+def test_weighted_replication_skips_small_windows_for_compact_kernels(kernel):
+    # controls in far-apart pairs: every window holds 2 rows, below n_free + 2 = 6
+    n = 40
+    w = np.repeat(10.0 * np.arange(n // 2), 2) + np.tile([0.0, 0.01], n // 2)
+    rng = np.random.default_rng(14)
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    sample = Sample(y=rng.normal(size=n), z=z, w=w)
+    spec = _spline_spec(z[:, 1], 2, 1)
+    cfg = MCConfig(
+        variant="weighted",
+        n=n,
+        n_w_draws=5,
+        bandwidth_scale=0.001,
+        kernel=kernel,
+        local_optimizer=OptimizerConfig(n_starts=1, max_iters=20),
+    )
+    grid_pts = np.column_stack([np.zeros(5), np.linspace(-2, 2, 5)])
+    with pytest.raises(NumericalError, match="no control draw"):
+        _weighted_replication(cfg, 0, 0, sample, spec, grid_pts)
 
 
 def test_mc_cell_grid_ordering():
