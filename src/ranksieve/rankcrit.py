@@ -17,6 +17,7 @@ the optimizer's objective both evaluate that one bound criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
@@ -129,25 +130,56 @@ class WindowedValue(NamedTuple):
 # --------------------------------------------------------------------------
 
 
+def _sort_with_tie_starts(v: np.ndarray, kind=None):
+    """Sort order of v and, per sorted position, where its tie group starts.
+
+    start[p] is the first sorted position p0 <= p with v[order][p0] equal to
+    v[order][p], so a value's start is the number of values strictly below
+    it.  Without adjacent equal values the starts are the positions
+    themselves; otherwise the positions of tied successors are zeroed and a
+    running maximum carries each group's first position forward.  NaN has
+    no place in a strict order and is rejected; argsort puts it last.
+    """
+    order = np.argsort(v, kind=kind)
+    sv = v[order]
+    if math.isnan(sv[-1]):
+        raise ValueError("cannot rank NaN values")
+    start = np.arange(v.size)
+    tied = sv[1:] == sv[:-1]
+    if np.count_nonzero(tied):
+        start[1:][tied] = 0
+        np.maximum.accumulate(start, out=start)
+    return order, start
+
+
 def rank_strict_less(values) -> np.ndarray:
     """out[i] = #{ j != i : values[j] < values[i] }; ties contribute zero.
 
-    Runs in O(n log n): a sort followed by a binary search that returns,
-    for each value, the index of the first occurrence of its tie group.
+    Runs in O(n log n): one argsort, then each value takes the sorted
+    position where its tie group starts.  Raises ValueError on NaN, which
+    has no strict order; +-inf rank like any other value.
     """
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("need at least one value")
-    sv = np.sort(v)
-    return np.searchsorted(sv, v, side="left")
+    order, start = _sort_with_tie_starts(v)
+    out = np.empty_like(start)
+    out[order] = start
+    return out
 
 
 def _weighted_less_sums(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """out[i] = sum of u[j] over j with phi[j] < phi[i] (weighted ranking)."""
-    order = np.argsort(phi, kind="stable")
-    ps = phi[order]
+    """out[i] = sum of u[j] over j with phi[j] < phi[i] (weighted ranking).
+
+    A stable argsort fixes the summation order of the prefix sums of u; each
+    value takes the prefix up to the start of its tie group.  Raises
+    ValueError on NaN, like ``rank_strict_less``.
+    """
+    order, start = _sort_with_tie_starts(phi, kind="stable")
     prefix = np.concatenate(([0.0], np.cumsum(u[order])))
-    return prefix[np.searchsorted(ps, phi, side="left")]
+    out = np.empty(phi.size)
+    out[order] = prefix[start]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +306,8 @@ def _evaluate(sample: Sample, variant: CriterionVariant, phi_values) -> Windowed
     phi = np.asarray(phi_values, dtype=float).ravel()
     if phi.size != sample.n:
         raise ValueError("phi_values length must equal the sample size")
+    if np.isnan(phi).any():
+        raise ValueError("phi_values contain NaN")
     if crit.empty:
         return WindowedValue(0.0, crit.n_used)
     return WindowedValue(crit.value(phi[crit.rows]), crit.n_used)

@@ -1,10 +1,10 @@
 """Independent reference implementations used by the tests.
 
-These are deliberately naive (textbook recursions, exhaustive scans) and
-share no code with the library paths they check.  The criterion oracles
-read only the ``y``, ``w`` and ``n`` attributes of a sample and the
-``family`` and ``bandwidths`` of a kernel spec, and evaluate the kernels
-with their own scalar formulas.
+These are deliberately naive (textbook recursions, exhaustive scans, plain
+sort-and-binary-search formulas) and share no code with the library paths
+they check.  The criterion oracles read only the ``y``, ``w`` and ``n``
+attributes of a sample and the ``family`` and ``bandwidths`` of a kernel
+spec, and evaluate the kernels with their own scalar formulas.
 """
 
 import math
@@ -104,6 +104,20 @@ def bruteforce_rank_strict_less(values):
             if j != i and v[j] < v[i]:
                 out[i] += 1
     return out
+
+
+def sorted_rank_strict_less(values):
+    """#{j : v_j < v_i} by binary search: the tie group's first index in sort(v)."""
+    v = np.asarray(values, dtype=float).ravel()
+    return np.searchsorted(np.sort(v), v, side="left")
+
+
+def sorted_weighted_less_sums(phi, u):
+    """sum of u_j over phi_j < phi_i: prefix sums of u in stable sort order of phi,
+    read at each value's binary-search position."""
+    order = np.argsort(phi, kind="stable")
+    prefix = np.concatenate(([0.0], np.cumsum(u[order])))
+    return prefix[np.searchsorted(phi[order], phi, side="left")]
 
 
 def bruteforce_rank_criterion(sample, phi_values):

@@ -18,7 +18,10 @@ from oracles import (
     bruteforce_rank_criterion_pairwise,
     bruteforce_rank_criterion_weighted,
     bruteforce_rank_strict_less,
+    sorted_rank_strict_less,
+    sorted_weighted_less_sums,
 )
+from ranksieve.rankcrit import _weighted_less_sums
 
 
 def _random_values(rng, n):
@@ -66,6 +69,64 @@ def test_rank_scale_invariance_and_negation():
     np.testing.assert_array_equal(rank_strict_less(3.7 * v), rank_strict_less(v))
     greater = np.array([np.sum(v > vi) for vi in v])
     np.testing.assert_array_equal(rank_strict_less(-v), greater)
+
+
+def _ranking_inputs(rng, n):
+    """Tie-free, all-equal, heavily rounded, signed-zero, infinite and integer inputs."""
+    signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    signed_zeros[rng.random(n) < 0.3] = 1.0
+    infinite = rng.normal(size=n)
+    infinite[rng.random(n) < 0.2] = np.inf
+    infinite[rng.random(n) < 0.2] = -np.inf
+    return {
+        "tie_free": rng.permutation(n) + rng.random(n) * 0.5,
+        "all_equal": np.full(n, 1.25),
+        "rounded": np.round(rng.normal(size=n), 1),
+        "signed_zeros": signed_zeros,
+        "infinite": infinite,
+        "integers": rng.integers(-5, 5, size=n).astype(float),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 5000])
+def test_rank_matches_sorted_search_reference(n):
+    rng = np.random.default_rng(n)
+    for name, v in _ranking_inputs(rng, n).items():
+        np.testing.assert_array_equal(rank_strict_less(v), sorted_rank_strict_less(v), err_msg=name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 5000])
+def test_weighted_less_sums_match_sorted_search_reference_bitwise(n):
+    rng = np.random.default_rng(n + 1)
+    u = rng.random(n) * np.exp(rng.normal(size=n))
+    for name, phi in _ranking_inputs(rng, n).items():
+        got = [x.hex() for x in _weighted_less_sums(phi, u)]
+        assert got == [x.hex() for x in sorted_weighted_less_sums(phi, u)], name
+
+
+def test_rank_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        rank_strict_less([1.0, np.nan, 0.0, np.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        _weighted_less_sums(np.array([1.0, np.nan]), np.ones(2))
+
+
+def test_public_evaluators_reject_nan_phi():
+    rng = np.random.default_rng(13)
+    s = _random_sample(rng, 30)
+    phi = rng.normal(size=30)
+    phi[4] = np.nan
+    spec = KernelSpec("gaussian", [0.5])
+    far = [1e6]  # the NaN row is outside the (empty) window: still rejected
+    for evaluate in (
+        lambda: rank_criterion(s, phi),
+        lambda: rank_criterion_discrete_w(s, phi, far),
+        lambda: rank_criterion_weighted(s, phi, far, KernelSpec("uniform", [0.5])),
+        lambda: rank_criterion_weighted(s, phi, [0.0], spec),
+        lambda: rank_criterion_pairwise(s, phi, spec),
+    ):
+        with pytest.raises(ValueError, match="NaN"):
+            evaluate()
 
 
 # --------------------------------------------------------------------------
