@@ -16,6 +16,7 @@ from .optimize import (
     OptimizerConfig,
     Pairwise,
     Weighted,
+    derive_seed,
     evaluate_on_grid,
     maximize_rank_criterion,
     series_ols,
@@ -54,7 +55,6 @@ from .simulate import (
     MCConfig,
     MCSummary,
     approximate_quantiles,
-    derive_seed,
     generate,
     h_piecewise,
     ks_two_sample,

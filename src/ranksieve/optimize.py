@@ -153,8 +153,23 @@ def _nelder_mead(f, x0: np.ndarray, step: float, cfg: OptimizerConfig):
     return best_x, best_f
 
 
-def _mask64(seed: int) -> int:
-    return int(seed) & 0xFFFFFFFFFFFFFFFF
+def _seed_sequence(seed: int, keys: tuple) -> np.random.SeedSequence:
+    """The package's one rule for turning a seed and its keys into a stream.
+
+    It hashes the tuple (seed mod 2^64, *keys).  Arithmetic on the seed, such
+    as seed XOR key, maps different (seed, key) pairs to one stream.
+    """
+    return np.random.SeedSequence((int(seed) % 2**64,) + tuple(int(k) for k in keys))
+
+
+def _substream(seed: int, *keys: int) -> np.random.Generator:
+    """The random stream of one (seed, *keys) tuple."""
+    return np.random.default_rng(_seed_sequence(seed, keys))
+
+
+def derive_seed(master_seed: int, *keys: int) -> int:
+    """Stable 64-bit child seed for a (cell, replication, ...) key tuple."""
+    return int(_seed_sequence(master_seed, keys).generate_state(1, dtype=np.uint64)[0])
 
 
 def maximize_rank_criterion(
@@ -166,8 +181,8 @@ def maximize_rank_criterion(
     """Fit the sieve coefficients by maximizing the selected criterion variant.
 
     Runs ``cfg.n_starts`` Nelder-Mead searches from coefficient vectors
-    drawn uniformly from [-init_scale, init_scale]^d, each start on its own
-    RNG stream (seed XOR start index), and keeps the best result.  Ties on
+    drawn uniformly from [-init_scale, init_scale]^d, start s from the
+    stream ``_substream(rng_seed, s)``, and keeps the best result.  Ties on
     the achieved value break toward the smaller coefficient norm, then the
     lower start index, so the outcome does not depend on scheduling.  The
     returned estimate is normalized; ``degenerate`` is set when no start
@@ -180,8 +195,7 @@ def maximize_rank_criterion(
 
     best = None  # (value, norm, start_index, gamma)
     for s in range(cfg.n_starts):
-        rng = np.random.default_rng(_mask64(cfg.rng_seed) ^ s)
-        x0 = rng.uniform(-cfg.init_scale, cfg.init_scale, size=n_free)
+        x0 = _substream(cfg.rng_seed, s).uniform(-cfg.init_scale, cfg.init_scale, size=n_free)
         x, fx = _nelder_mead(lambda g: -objective(g), x0, 0.5 * cfg.init_scale, cfg)
         key = (fx, float(np.linalg.norm(x)), s)
         if best is None or key < best[0]:

@@ -37,7 +37,8 @@ from .optimize import (
     FullRank,
     OptimizerConfig,
     Weighted,
-    _mask64,
+    _substream,
+    derive_seed,
     evaluate_on_grid,
     maximize_rank_criterion,
     series_ols,
@@ -55,16 +56,6 @@ from .sieve import (
 # bench/layers.py wraps these three by name on this module, so they stay importable here
 from .optimize import ols_fit
 from .sieve import apply_normalization, design_matrix
-
-
-def _substream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((_mask64(seed), tag)))
-
-
-def derive_seed(master_seed: int, *keys: int) -> int:
-    """Stable 64-bit child seed for a (cell, replication, ...) key tuple."""
-    ss = np.random.SeedSequence((_mask64(master_seed),) + tuple(int(k) for k in keys))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 # --------------------------------------------------------------------------
@@ -158,8 +149,6 @@ class GeneratedSample(NamedTuple):
 
     sample: Sample
     ystar: np.ndarray
-    q30: float
-    q70: float
 
 
 def generate(cfg: DgpConfig) -> GeneratedSample:
@@ -177,7 +166,7 @@ def generate(cfg: DgpConfig) -> GeneratedSample:
         sample = Sample(y=y + v, z=np.column_stack([z1, z2]))
     else:
         sample = Sample(y=y + v * np.abs(w), z=np.column_stack([z1, z2]), w=w[:, None])
-    return GeneratedSample(sample, ystar, q30, q70)
+    return GeneratedSample(sample, ystar)
 
 
 # --------------------------------------------------------------------------
@@ -450,10 +439,7 @@ def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
             cfg.local_optimizer,
             rng_seed=derive_seed(cfg.master_seed, cell_index, rep, 3, d),
         )
-        try:
-            fit = maximize_rank_criterion(sample, spec, variant, opt)
-        except NumericalError:
-            continue
+        fit = maximize_rank_criterion(sample, spec, variant, opt)
         n_degenerate += int(fit.degenerate)
         curves.append(evaluate_on_grid(fit, grid_pts))
     if not curves:

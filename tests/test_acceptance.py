@@ -3,8 +3,8 @@
 One printed PASS/FAIL line per criterion (run with ``pytest -s`` to see them
 live; the values are also embedded in assertion messages).  The Monte Carlo
 fixtures are shared across criteria, use a pre-registered master seed, and
-parallelize replications across cores; the full module takes on the order of
-ten minutes on two cores.
+parallelize replications across cores; the full Tier-1 run, this module
+included, took 374 to 430 s on two cores.
 """
 
 import hashlib

@@ -27,6 +27,7 @@ from ranksieve import (
     mse_on_grid,
     series_ols,
 )
+from ranksieve import optimize
 from ranksieve.optimize import _build_objective, _deficient_columns, ols_fit
 from ranksieve.sieve import PhiEstimate, apply_normalization
 from ranksieve.simulate import _spline_spec
@@ -89,6 +90,31 @@ def test_determinism_bit_identical():
     assert a.criterion_value == b.criterion_value
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
     assert (a.scale, a.shift) == (b.scale, b.shift)
+
+
+def test_distinct_seeds_draw_disjoint_start_sets(monkeypatch):
+    starts = []
+    nelder_mead = optimize._nelder_mead
+
+    def recording_nelder_mead(f, x0, step, cfg):
+        starts.append(tuple(x0))
+        return nelder_mead(f, x0, step, cfg)
+
+    monkeypatch.setattr(optimize, "_nelder_mead", recording_nelder_mead)
+    rng = np.random.default_rng(1)
+    n = 60
+    sample = Sample(y=rng.normal(size=n), z=rng.normal(size=(n, 1)))
+    spec = _single_spline_spec(sample.z[:, 0])
+    start_sets = []
+    for seed in range(4):
+        starts.clear()
+        cfg = OptimizerConfig(n_starts=20, max_iters=5, rng_seed=seed)
+        maximize_rank_criterion(sample, spec, FullRank(), cfg)
+        start_sets.append(set(starts))
+        assert len(start_sets[-1]) == 20
+    for i in range(4):
+        for j in range(i):
+            assert not start_sets[i] & start_sets[j], f"seeds {j} and {i} share start points"
 
 
 def test_criterion_at_least_zero_vector_value():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,24 @@ def test_mc_weighted_smoke():
     cell = summary.cells[0]
     assert cell.n_failed == 0
     assert np.isfinite(cell.mse_rank) and np.isfinite(cell.mse_ols)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "weighted"])
+def test_mc_results_do_not_depend_on_worker_count(variant):
+    cfg = _tiny_mc(
+        variant=variant,
+        replications=3,
+        n_w_draws=4,
+        local_optimizer=OptimizerConfig(n_starts=2, max_iters=60),
+    )
+    cells = [run_monte_carlo(replace(cfg, n_jobs=jobs)).cells[0] for jobs in (1, 2)]
+    assert [cell.n_failed for cell in cells] == [0, 0]
+
+    def hexed(cell):
+        values = [cell.mse_rank, cell.mse_ols, *cell.rank_median, *cell.ols_median]
+        return [float(v).hex() for v in values]
+
+    assert hexed(cells[0]) == hexed(cells[1])
 
 
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
