@@ -9,7 +9,7 @@ Subcommands:
 * ``aggregate`` - combine curve CSVs pointwise (mean or median).
 * ``summary``   - print a six-number summary per selected column.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
+Exit codes: 0 success, 1 usage/config/file error, 2 data error, 3 numerical
 failure.  All numeric output is printed with 6 significant digits.
 """
 
@@ -19,6 +19,7 @@ import argparse
 import csv
 import glob
 import json
+import os
 import sys
 from typing import Callable
 
@@ -132,6 +133,7 @@ def _cmd_simulate(args) -> int:
         if value is not None
     }
     cfg = _read_config(args.config, lambda obj: MCConfig.from_dict({**obj, **overrides}))
+    os.makedirs(args.out_dir, exist_ok=True)  # fail before the sweep, not after it
     summary = run_monte_carlo(cfg)
     paths = write_summary_csvs(summary, args.out_dir)
     for cell in summary.cells:
@@ -311,6 +313,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,4 +14,4 @@ class NumericalError(RankSieveError):
 
 
 class EmptyWindowError(NumericalError):
-    """A kernel window or discrete control cell contains fewer than two points."""
+    """Too few observations with weight to fit: fewer than the free coefficients plus two."""

@@ -72,10 +72,14 @@ def _build_objective(
 ) -> Callable[[np.ndarray], float]:
     """Closure gamma -> criterion value; the design covers only the rows that enter."""
     crit = bind_criterion(sample, variant)
-    if crit.empty:
+    # the design can order no more rows than it has free coefficients at will
+    need = spec.n_free + 2
+    if crit.n_used < need:
+        windowed = isinstance(variant, (DiscreteW, Weighted))
+        where = f" around w0={variant.w0.tolist()}" if windowed else ""
         raise EmptyWindowError(
-            f"control cell or window around w0={variant.w0.tolist()} has "
-            f"{crit.n_used} observation(s) with weight; need >= 2"
+            f"{crit.n_used} observation(s) with weight{where}; "
+            f"{spec.n_free} free coefficient(s) need >= {need}"
         )
     D, offset = design_matrix(spec, sample.z[crit.rows])
     return lambda gamma: crit.value(offset + D @ gamma)
@@ -186,7 +190,8 @@ def maximize_rank_criterion(
     the achieved value break toward the smaller coefficient norm, then the
     lower start index, so the outcome does not depend on scheduling.  The
     returned estimate is normalized; ``degenerate`` is set when no start
-    improved on the zero coefficient vector.
+    improved on the zero coefficient vector.  For every variant, fewer rows
+    with weight than the free coefficients plus two raise EmptyWindowError.
     """
     n_free = spec.n_free
     if n_free == 0:

@@ -105,8 +105,9 @@ def _kernel_1d(family: str, u: np.ndarray) -> np.ndarray:
 
 
 def kernel_weights(spec: KernelSpec, w: np.ndarray, w0) -> np.ndarray:
-    """Product kernel weights of each row of w relative to the point w0."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
+    """Product kernel weights of each row of w (a 1-D w is one control column) at w0."""
+    w = np.asarray(w, dtype=float)
+    w = w[:, None] if w.ndim == 1 else np.atleast_2d(w)
     w0 = np.asarray(w0, dtype=float).ravel()
     if w.shape[1] != spec.bandwidths.size or w0.size != spec.bandwidths.size:
         raise ValueError("control dimension does not match bandwidth vector")
@@ -242,10 +243,6 @@ class Criterion:
     n_used: int
     weighted_below: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    @property
-    def empty(self) -> bool:
-        return self.n_used < 2
-
     def value(self, phi: np.ndarray) -> float:
         if self.weighted_below is None:
             below = rank_strict_less(phi)
@@ -308,7 +305,7 @@ def _evaluate(sample: Sample, variant: CriterionVariant, phi_values) -> Windowed
         raise ValueError("phi_values length must equal the sample size")
     if np.isnan(phi).any():
         raise ValueError("phi_values contain NaN")
-    if crit.empty:
+    if crit.n_used < 2:
         return WindowedValue(0.0, crit.n_used)
     return WindowedValue(crit.value(phi[crit.rows]), crit.n_used)
 

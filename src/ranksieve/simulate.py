@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregate import LocalEstimateSet, aggregate_lad, aggregate_ls
-from .errors import NumericalError
+from .errors import EmptyWindowError, NumericalError
 from .optimize import (
     FullRank,
     OptimizerConfig,
@@ -43,7 +43,7 @@ from .optimize import (
     maximize_rank_criterion,
     series_ols,
 )
-from .rankcrit import KernelSpec, Sample, bind_criterion
+from .rankcrit import KernelSpec, Sample
 from .sieve import (
     Anchor,
     BSplineBasis,
@@ -315,7 +315,6 @@ class CellSummary(NamedTuple):
     sigma: float
     c: float
     K: int
-    n: int
     replications: int
     n_failed: int
     n_degenerate: int
@@ -328,7 +327,6 @@ class CellSummary(NamedTuple):
     rank_q05: np.ndarray
     rank_q95: np.ndarray
     ols_median: np.ndarray
-    seconds: float
 
     @property
     def tag(self) -> str:
@@ -376,7 +374,6 @@ def _cell_grid(cfg: MCConfig, c: float) -> np.ndarray:
 
 def _run_replication(cfg: MCConfig, cell_index: int, rep: int) -> dict:
     sigma, c, K = _cells(cfg)[cell_index]
-    t0 = time.perf_counter()
     dgp = cfg._dgp_config(sigma, c, seed=derive_seed(cfg.master_seed, cell_index, rep, 0))
     tgrid = _cell_grid(cfg, c)
     truth = np.sin(tgrid)
@@ -391,13 +388,12 @@ def _run_replication(cfg: MCConfig, cell_index: int, rep: int) -> dict:
             ols_curve = evaluate_on_grid(series_ols(gen.sample, spec), grid_pts)
             degenerate = fit.degenerate
         else:
-            rank_curve, n_degen = _weighted_replication(
+            rank_curve, degenerate = _weighted_replication(
                 cfg, cell_index, rep, gen.sample, spec, grid_pts
             )
             ols_curve = _weighted_series_curve(cfg, gen.sample, K, grid_pts)
-            degenerate = n_degen > cfg.n_w_draws // 2
         ks = ks_two_sample(gen.sample.y, gen.ystar)
-        out = {
+        return {
             "failed": False,
             "degenerate": degenerate,
             "rank_curve": rank_curve,
@@ -407,17 +403,16 @@ def _run_replication(cfg: MCConfig, cell_index: int, rep: int) -> dict:
             "ks_reject": ks.p_value < 0.05,
         }
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        out = {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
-    out["seconds"] = time.perf_counter() - t0
-    return out
+        return {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
     """Local window fits at drawn control values, combined pointwise.
 
-    A draw is skipped when fewer than n_free + 2 rows have positive kernel
-    weight, whatever the kernel.  Returns the aggregated curve and the
-    number of degenerate local fits.
+    A draw is skipped when ``maximize_rank_criterion`` raises
+    EmptyWindowError, that is when its window has too few rows with weight
+    for the spec, whatever the kernel.  Returns the aggregated curve and
+    whether more than half of the local fits made were degenerate.
     """
     w_flat = sample.w[:, 0]
     s = cfg.bandwidth_scale * float(np.std(w_flat))
@@ -428,25 +423,24 @@ def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
     rng = np.random.default_rng(derive_seed(cfg.master_seed, cell_index, rep, 2))
     w_draws = rng.choice(w_flat, size=cfg.n_w_draws, replace=True)
 
-    min_window = spec.n_free + 2
     curves = []
     n_degenerate = 0
     for d, w0 in enumerate(w_draws):
-        variant = Weighted(np.array([w0]), kernel)
-        if bind_criterion(sample, variant).n_used < min_window:
-            continue
         opt = replace(
             cfg.local_optimizer,
             rng_seed=derive_seed(cfg.master_seed, cell_index, rep, 3, d),
         )
-        fit = maximize_rank_criterion(sample, spec, variant, opt)
+        try:
+            fit = maximize_rank_criterion(sample, spec, Weighted(np.array([w0]), kernel), opt)
+        except EmptyWindowError:
+            continue
         n_degenerate += int(fit.degenerate)
         curves.append(evaluate_on_grid(fit, grid_pts))
     if not curves:
         raise NumericalError("no control draw produced a usable local fit")
     estimates = LocalEstimateSet(grid=grid_pts, curves=np.vstack(curves))
     agg = aggregate_lad(estimates) if cfg.aggregation == "lad" else aggregate_ls(estimates)
-    return agg, n_degenerate
+    return agg, n_degenerate > len(curves) // 2
 
 
 def _weighted_series_curve(cfg, sample, K, grid_pts):
@@ -512,7 +506,6 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
                 sigma=sigma,
                 c=c,
                 K=K,
-                n=cfg.n,
                 replications=cfg.replications,
                 n_failed=len(reps) - len(ok),
                 n_degenerate=int(sum(r["degenerate"] for r in ok)),
@@ -525,7 +518,6 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
                 rank_q05=rank_q[0],
                 rank_q95=rank_q[2],
                 ols_median=ols_median,
-                seconds=float(sum(r["seconds"] for r in reps)),
             )
         )
         failures += [

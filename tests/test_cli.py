@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranksieve import MCConfig
+from ranksieve import MCConfig, cli
 from ranksieve.cli import main
 
 
@@ -232,6 +232,51 @@ def test_estimate_numerical_failure_exit_3(dataset, tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_estimate_window_too_small_to_fit_exit_3(dataset, tmp_path, capsys):
+    # a uniform window around the largest control holding it and its 3 nearest
+    # rows; the spec has 4 free coefficients, so a fit needs 6 rows with weight
+    with open(dataset["data"], newline="") as fh:
+        w = np.sort([float(row["w"]) for row in csv.DictReader(fh)])
+    w0 = float(w[-1])
+    bandwidth = float(w0 - 0.5 * (w[-4] + w[-5]))
+    code = main(
+        [
+            "estimate",
+            "--data", dataset["data"],
+            "--schema", dataset["schema"],
+            "--spec", dataset["spec"],
+            "--grid", dataset["grid"],
+            "--variant", "weighted",
+            "--w0", repr(w0),
+            "--bandwidth", repr(bandwidth),
+            "--kernel", "uniform",
+            "--out", str(tmp_path / "x.csv"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: 4 observation(s) with weight" in err and ">= 6" in err
+
+
+def test_unwritable_output_paths_exit_1_naming_the_path(dataset, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["estimate", "--out", str(out)]
+    for name in ("data", "schema", "spec", "grid"):
+        argv += [f"--{name}", dataset[name]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(out) in err and err.count("\n") == 1
+    # the sweep does not start when its output directory cannot be made
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps({"n_jobs": 1}))
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg: pytest.fail("the sweep ran"))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(blocker) in err and err.count("\n") == 1
 
 
 def test_usage_error_exit_1():

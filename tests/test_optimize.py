@@ -163,6 +163,24 @@ def test_empty_cell_and_window_propagate():
         )
 
 
+def test_fit_needs_two_more_weighted_rows_than_free_coefficients():
+    # 4 rows at w = 0 and n_free = 5: the window can be ordered at will
+    rng = np.random.default_rng(6)
+    n = 30
+    w = np.where(np.arange(n) < 4, 0.0, 10.0)
+    sample = Sample(y=rng.normal(size=n), z=rng.normal(size=(n, 1)), w=w)
+    spec = _single_spline_spec(sample.z[:, 0])
+    assert spec.n_free == 5
+    cfg = OptimizerConfig(n_starts=2, max_iters=50)
+    for variant in (Weighted([0.0], KernelSpec("uniform", [0.5])), DiscreteW([0.0])):
+        with pytest.raises(EmptyWindowError, match=r"^4 observation.*w0=\[0.0\].* 5 free .*>= 7"):
+            maximize_rank_criterion(sample, spec, variant, cfg)
+    with pytest.raises(EmptyWindowError, match=r"^6 observation"):
+        maximize_rank_criterion(Sample(y=sample.y[:6], z=sample.z[:6]), spec, FullRank(), cfg)
+    # seven rows with weight are enough
+    maximize_rank_criterion(Sample(y=sample.y[:7], z=sample.z[:7]), spec, FullRank(), cfg)
+
+
 def test_objective_matches_bruteforce_for_every_variant():
     # integer regressors and dyadic coefficients keep phi exact, so ties in
     # phi are real ties whatever order the design product sums in

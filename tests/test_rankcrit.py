@@ -279,6 +279,11 @@ def test_kernel_weight_values():
     gau2 = KernelSpec("gaussian", [1.0, 2.0])
     expected = (np.exp(-0.5) / np.sqrt(2 * np.pi)) * (np.exp(-1.0 / 8.0) / np.sqrt(2 * np.pi))
     assert kernel_weights(gau2, [[1.0, 1.0]], [0.0, 0.0])[0] == pytest.approx(expected, rel=1e-12)
+    # a 1-D w is one control column, as in Sample
+    uni_half = KernelSpec("uniform", [0.5])
+    np.testing.assert_array_equal(
+        kernel_weights(uni_half, np.array([0.0, 0.2, 1.0]), [0.0]), [1.0, 1.0, 0.0]
+    )
 
 
 def test_kernel_validation():

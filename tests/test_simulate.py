@@ -15,8 +15,10 @@ from ranksieve import (
     ks_two_sample,
     mse_on_grid,
     run_monte_carlo,
+    simulate,
 )
 from ranksieve.simulate import (
+    GeneratedSample,
     _draw_latent,
     _kolmogorov_sf,
     _spline_spec,
@@ -307,6 +309,37 @@ def test_weighted_replication_skips_small_windows_for_compact_kernels(kernel):
     grid_pts = np.column_stack([np.zeros(5), np.linspace(-2, 2, 5)])
     with pytest.raises(NumericalError, match="no control draw"):
         _weighted_replication(cfg, 0, 0, sample, spec, grid_pts)
+
+
+def test_weighted_degeneracy_is_judged_over_the_fits_made(monkeypatch):
+    # constant y makes every local fit degenerate; 12 rows share w = 0, the
+    # other 28 sit in far-apart pairs whose 2-row windows are skipped
+    n = 40
+    rng = np.random.default_rng(15)
+    w = np.concatenate([np.zeros(12), np.repeat(10.0 * np.arange(1, 15), 2)])
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    sample = Sample(y=np.ones(n), z=z, w=w)
+    monkeypatch.setattr(simulate, "generate", lambda dgp: GeneratedSample(sample, sample.y))
+    fits = []
+    real_fit = simulate.maximize_rank_criterion
+
+    def counting_fit(*args):
+        fits.append(real_fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(simulate, "maximize_rank_criterion", counting_fit)
+    cfg = _tiny_mc(
+        variant="weighted",
+        n=n,
+        replications=1,
+        n_w_draws=10,
+        bandwidth_scale=0.01,
+        local_optimizer=OptimizerConfig(n_starts=2, max_iters=40),
+    )
+    cell = run_monte_carlo(cfg).cells[0]
+    # at most half of the draws were fitted, and every fit made was degenerate
+    assert 0 < len(fits) <= cfg.n_w_draws // 2 and all(fit.degenerate for fit in fits)
+    assert cell.n_failed == 0 and cell.n_degenerate == 1
 
 
 def test_mc_cell_grid_ordering():
