@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import glob
 import json
 import os
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .aggregate import LocalEstimateSet, aggregate_lad, aggregate_ls
-from .dataio import DatasetSchema, _parse_number, load_csv, summary_stats
+from .dataio import FMT, DatasetSchema, _parse_number, load_csv, summary_stats, write_csv
 from .errors import DataError, NumericalError
 from .optimize import (
     DiscreteW,
@@ -41,8 +42,6 @@ from .optimize import (
 from .rankcrit import KernelSpec
 from .simulate import MCConfig, run_monte_carlo, write_summary_csvs
 from .sieve import sieve_spec_from_json
-
-FMT = "%.6g"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -112,13 +111,8 @@ def _build_grid(obj: dict) -> np.ndarray:
 
 
 def _write_curve_csv(path: str, grid: np.ndarray, columns: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"z_{j}" for j in range(grid.shape[1])] + list(columns)
-        writer.writerow(header)
-        for i in range(grid.shape[0]):
-            row = [FMT % v for v in grid[i]] + [FMT % col[i] for col in columns.values()]
-            writer.writerow(row)
+    header = [f"z_{j}" for j in range(grid.shape[1])] + list(columns)
+    write_csv(path, header, np.column_stack([grid, *columns.values()]))
 
 
 # --------------------------------------------------------------------------
@@ -177,6 +171,8 @@ def _load_dataset(args):
 
 
 def _cmd_estimate(args) -> int:
+    if not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the fit, not after it
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     _, sample = _load_dataset(args)
     spec = _read_config(args.spec, lambda obj: sieve_spec_from_json(obj, z=sample.z))
     variant = _make_variant(args)

@@ -1,4 +1,5 @@
-"""CSV ingestion with listwise deletion, and summary statistics."""
+"""CSV ingestion with listwise deletion, summary statistics, and the one CSV
+writer that every table of the package (Monte Carlo and CLI) goes through."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from .errors import DataError
 from .rankcrit import Sample
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "NaN"})
+FMT = "%.6g"  # every real number the package writes or prints
 
 
 @dataclass(frozen=True)
@@ -142,3 +144,11 @@ def summary_stats(v) -> SummaryStats:
     return SummaryStats(
         float(np.min(x)), float(q1), float(med), float(np.mean(x)), float(q3), float(np.max(x))
     )
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a header row, then one line per row: ints with str, other numbers with FMT."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([str(v) if isinstance(v, int) else FMT % v for v in row] for row in rows)

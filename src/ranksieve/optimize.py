@@ -21,6 +21,7 @@ the observed outcome at face value.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,23 @@ F_TOL = 1e-10  # simplex value-spread tolerance
 X_TOL = 1e-6  # simplex parameter-spread tolerance
 
 
+def _store_ints(cfg, *names: str) -> None:
+    """Store the named fields of the frozen dataclass ``cfg`` as ints, tuples entry by entry.
+
+    An integral number such as 2.0, as a JSON file may write it, becomes 2;
+    any other value, such as 2.5, True or "2", raises a ValueError naming the field.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        entries = value if isinstance(value, tuple) else (value,)
+        for v in entries:
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+            if not (real and (isinstance(v, numbers.Integral) or float(v).is_integer())):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        ints = tuple(int(v) for v in entries)
+        object.__setattr__(cfg, name, ints if isinstance(value, tuple) else ints[0])
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multi-start Nelder-Mead settings.
@@ -61,6 +79,7 @@ class OptimizerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _store_ints(self, "n_starts", "max_iters", "rng_seed")
         if self.n_starts < 1 or self.max_iters < 1:
             raise ValueError("n_starts and max_iters must be positive")
         if self.init_scale <= 0:
@@ -228,21 +247,21 @@ def maximize_rank_criterion(
 def _deficient_columns(X: np.ndarray) -> list[int]:
     """Indices of columns that are (numerically) linear combinations of earlier ones.
 
-    Column j counts as dependent when |R[j, j]| of the unpivoted QR
-    factorization, the norm of its residual after projection on the earlier
-    columns, is at most 1e-10 * max(column norm, 1).  With fewer rows than
-    columns, every column from index n on counts as dependent once the first
-    n are independent; a dependent column among them still uses up one of
-    the n Householder steps, so the others are judged again without it.
+    One left-to-right pass.  Column j counts as dependent when the norm of
+    its residual after projection on the columns kept so far, the last
+    diagonal entry of their unpivoted QR factorization with column j
+    appended, is at most 1e-10 * max(column norm, 1).  Once n columns are
+    kept, every further column of an n-row X is dependent.
     """
-    n, k = X.shape
-    resid = np.abs(np.diagonal(np.linalg.qr(X, mode="r")))
-    scale = np.maximum(np.linalg.norm(X[:, : resid.size], axis=0), 1.0)
-    bad = np.flatnonzero(resid <= 1e-10 * scale)
-    if k <= n or bad.size == 0:
-        return bad.tolist() + list(range(n, k))
-    rest = np.delete(np.arange(k), bad)
-    return sorted(bad.tolist() + rest[_deficient_columns(X[:, rest])].tolist())
+    n = X.shape[0]
+    kept, dependent = [], []
+    for j in range(X.shape[1]):
+        resid = abs(np.linalg.qr(X[:, kept + [j]], mode="r")[-1, -1]) if len(kept) < n else 0.0
+        if resid <= 1e-10 * max(np.linalg.norm(X[:, j]), 1.0):
+            dependent.append(j)
+        else:
+            kept.append(j)
+    return dependent
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -256,14 +256,14 @@ def bind_criterion(sample: Sample, variant: CriterionVariant) -> Criterion:
 
     Window membership does not depend on the candidate, so subsample
     variants (exact cell, uniform-kernel window) drop the other rows here;
-    this is exact, not an approximation.  Raises NumericalError when the
-    variant needs controls the sample lacks, or when a variant normalized
-    by n(n-1) gets fewer than two rows; an empty cell or window is reported
-    through ``n_used`` instead.  Raises ValueError when the control point
+    this is exact, not an approximation.  Raises NumericalError when a
+    variant normalized by n(n-1) gets fewer than two rows; an empty cell or
+    window is reported through ``n_used`` instead.  Raises ValueError when
+    the variant needs controls the sample lacks, or when the control point
     or the bandwidth vector does not have one entry per control column.
     """
     if not isinstance(variant, FullRank) and sample.w is None:
-        raise NumericalError("criterion variant requires controls, but sample has none")
+        raise ValueError("criterion variant requires controls, but sample has none")
     sizes = [variant.w0.size] if isinstance(variant, (DiscreteW, Weighted)) else []
     if isinstance(variant, (Weighted, Pairwise)):
         sizes.append(variant.kernel.bandwidths.size)

@@ -21,7 +21,6 @@ Y against Y*, and accumulates pointwise median curves of both estimators
 
 from __future__ import annotations
 
-import csv
 import multiprocessing
 import os
 import time
@@ -32,11 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregate import LocalEstimateSet, aggregate_lad, aggregate_ls
+from .dataio import write_csv
 from .errors import EmptyWindowError, NumericalError
 from .optimize import (
     FullRank,
     OptimizerConfig,
     Weighted,
+    _store_ints,
     _substream,
     derive_seed,
     evaluate_on_grid,
@@ -83,6 +84,7 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _store_ints(self, "n", "quantile_approx_draws", "seed")
         if self.variant not in ("baseline", "weighted"):
             raise ValueError("variant must be 'baseline' or 'weighted'")
         if self.n < 2:
@@ -264,7 +266,11 @@ class MCConfig:
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        object.__setattr__(self, "K", tuple(int(k) for k in self.K))
+        object.__setattr__(self, "K", tuple(self.K))
+        _store_ints(
+            self, "n", "K", "replications", "master_seed", "spline_degree", "grid_points",
+            "quantile_approx_draws", "n_w_draws", "n_jobs",
+        )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (self.sigma and self.c and self.K):
@@ -540,34 +546,12 @@ def write_summary_csvs(summary: MCSummary, out_dir: str) -> list[str]:
 
     Every real number is printed with 6 significant digits.
     """
-    fmt = "%.6g"
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    table_path = os.path.join(out_dir, "mse_table.csv")
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "c", "K", "mse_rank", "mse_ols", "ks_reject_rate", "n_failed"])
-        for cell in summary.cells:
-            writer.writerow(
-                [
-                    fmt % cell.sigma,
-                    fmt % cell.c,
-                    str(cell.K),
-                    fmt % cell.mse_rank,
-                    fmt % cell.mse_ols,
-                    fmt % cell.ks_reject_rate,
-                    str(cell.n_failed),
-                ]
-            )
-    paths.append(table_path)
+    paths = [os.path.join(out_dir, "mse_table.csv")]
+    table = ("sigma", "c", "K", "mse_rank", "mse_ols", "ks_reject_rate", "n_failed")
+    write_csv(paths[0], table, [[getattr(cell, name) for name in table] for cell in summary.cells])
+    curves = ("grid", "truth", "rank_median", "rank_q05", "rank_q95", "ols_median")
     for cell in summary.cells:
-        path = os.path.join(out_dir, f"curves_{cell.tag}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["z2", "truth", "rank_median", "rank_q05", "rank_q95", "ols_median"])
-            columns = (cell.grid, cell.truth, cell.rank_median, cell.rank_q05, cell.rank_q95,
-                       cell.ols_median)
-            for row in zip(*columns):
-                writer.writerow(fmt % v for v in row)
-        paths.append(path)
+        paths.append(os.path.join(out_dir, f"curves_{cell.tag}.csv"))
+        write_csv(paths[-1], ("z2",) + curves[1:], zip(*(getattr(cell, name) for name in curves)))
     return paths

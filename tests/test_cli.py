@@ -140,7 +140,7 @@ def test_estimate_missing_column_exit_2(dataset, tmp_path):
     assert code == 2
 
 
-def test_estimate_config_errors_exit_1(dataset, tmp_path):
+def test_estimate_config_errors_exit_1(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code = main(
@@ -185,6 +185,19 @@ def test_estimate_config_errors_exit_1(dataset, tmp_path):
             + variant_args
         )
         assert code == 1
+    # a variant that needs controls, on a sample without them
+    no_controls = tmp_path / "schema_no_w.json"
+    no_controls.write_text(json.dumps({"y_column": "y", "z_columns": ["z1", "z2"]}))
+    for variant_args in (
+        ["--variant", "weighted", "--w0", "0.0", "--bandwidth", "1.0"],
+        ["--variant", "discrete-w", "--w0", "0.0"],
+        ["--variant", "pairwise", "--bandwidth", "1.0"],
+    ):
+        argv = ["estimate", "--schema", str(no_controls), "--out", str(tmp_path / "x.csv")]
+        argv += [arg for name in ("data", "spec", "grid") for arg in (f"--{name}", dataset[name])]
+        assert main(argv + variant_args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "requires controls" in err
 
 
 def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys):
@@ -265,6 +278,8 @@ def test_unwritable_output_paths_exit_1_naming_the_path(dataset, tmp_path, capsy
     argv = ["estimate", "--out", str(out)]
     for name in ("data", "schema", "spec", "grid"):
         argv += [f"--{name}", dataset[name]]
+    # the fit does not start when its output cannot be written
+    monkeypatch.setattr(cli, "maximize_rank_criterion", lambda *a: pytest.fail("the fit ran"))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and str(out) in err and err.count("\n") == 1
@@ -462,10 +477,18 @@ def test_simulate_readme_config_loads():
     assert cfg.optimizer.n_starts == 20
 
 
-def test_simulate_bad_config_exit_1(tmp_path):
+def test_simulate_bad_config_exit_1(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "mc.json"
     cfg_path.write_text(json.dumps({"replications": 0}))
     assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+    # an integer setting that is not integral is named before the sweep starts
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg: pytest.fail("the sweep ran"))
+    for obj in ({"K": [4.7]}, {"replications": 2.5}, {"optimizer": {"n_starts": 2.5}}):
+        cfg_path.write_text(json.dumps(obj))
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg_path}: ") and "must be an integer" in err
     # a config that is not a JSON object, with an override applied to it
     cfg_path.write_text(json.dumps([1, 2]))
     args = ["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"), "--seed", "3"]

@@ -369,6 +369,30 @@ def test_mc_config_validation_and_k_convention():
         _tiny_mc(variant="nonclassical")
 
 
+def test_integer_fields_take_integral_numbers_and_reject_the_rest():
+    cfg = MCConfig.from_dict(
+        {"n": 150.0, "K": [4.0, 5], "replications": 2.0, "master_seed": 3.0,
+         "quantile_approx_draws": 1e4, "optimizer": {"n_starts": 2.0}}
+    )
+    ints = (cfg.n, *cfg.K, cfg.replications, cfg.master_seed, cfg.quantile_approx_draws,
+            cfg.optimizer.n_starts, DgpConfig(n=150.0).n, DgpConfig(seed=np.uint64(7)).seed)
+    assert all(type(v) is int for v in ints)
+    assert cfg.K == (4, 5)
+    cases = [
+        ({"K": [4.7]}, "K"),
+        ({"replications": 2.5}, "replications"),
+        ({"n": True}, "n"),
+        ({"n_jobs": float("nan")}, "n_jobs"),
+        ({"master_seed": "3"}, "master_seed"),
+        ({"optimizer": {"n_starts": 2.5}}, "n_starts"),
+    ]
+    for obj, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            MCConfig.from_dict(obj)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        DgpConfig(seed=0.5)
+
+
 def test_mc_from_dict_nested():
     cfg = MCConfig.from_dict(
         {
