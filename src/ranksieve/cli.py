@@ -171,7 +171,10 @@ def _load_dataset(args):
 
 
 def _cmd_estimate(args) -> int:
-    if not os.path.isdir(os.path.dirname(args.out) or "."):  # fail before the fit, not after it
+    # fail before the fit, not after it
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     _, sample = _load_dataset(args)
     spec = _read_config(args.spec, lambda obj: sieve_spec_from_json(obj, z=sample.z))

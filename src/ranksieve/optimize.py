@@ -124,20 +124,25 @@ def _nelder_mead(f, x0: np.ndarray, step: float, cfg: OptimizerConfig):
     for i in range(dim):
         sim[i + 1] = x0
         sim[i + 1, i] += step
-    fsim = np.array([f(v) for v in sim])
+    fsim = [f(v) for v in sim]
 
     plateau = False
     for _ in range(cfg.max_iters):
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
+        # a stable sort, as numpy's stable argsort of the values would give
+        order = sorted(range(dim + 1), key=fsim.__getitem__)
+        sim = sim.take(order, 0)
+        fsim = [fsim[i] for i in order]
 
         if fsim[-1] - fsim[0] < F_TOL:
             plateau = True
             break
-        if np.max(np.abs(sim[1:] - sim[0])) < X_TOL:
+        # one coordinate at X_TOL or beyond already fails the check, so the
+        # whole spread is computed only when the simplex may have collapsed
+        if abs(sim[-1, 0] - sim[0, 0]) < X_TOL and abs(sim[1:] - sim[0]).max() < X_TOL:
             break
 
-        centroid = np.mean(sim[:-1], axis=0)
+        # the mean of the vertices, summed and divided as np.mean does
+        centroid = np.add.reduce(sim[:-1], axis=0) / dim
         xr = centroid + (centroid - sim[-1])
         fr = f(xr)
         if fr < fsim[0]:
@@ -165,11 +170,11 @@ def _nelder_mead(f, x0: np.ndarray, step: float, cfg: OptimizerConfig):
                     sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
                     fsim[i] = f(sim[i])
 
-    order = np.argsort(fsim, kind="stable")
-    sim, fsim = sim[order], fsim[order]
-    best_x, best_f = sim[0], fsim[0]
+    # a plateau stop comes right after the sort, so the centroid sums sorted vertices
+    best = min(range(dim + 1), key=fsim.__getitem__)
+    best_x, best_f = sim[best], fsim[best]
     if plateau:
-        cand = np.mean(sim, axis=0)
+        cand = np.add.reduce(sim, axis=0) / (dim + 1)
         fcand = f(cand)
         if fcand <= best_f:
             best_x, best_f = cand, fcand

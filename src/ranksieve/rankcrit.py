@@ -18,7 +18,7 @@ the optimizer's objective both evaluate that one bound criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -131,25 +131,29 @@ class WindowedValue(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _sort_with_tie_starts(v: np.ndarray, kind=None):
+def _sort_with_tie_starts(v: np.ndarray, positions: np.ndarray, kind=None):
     """Sort order of v and, per sorted position, where its tie group starts.
 
-    start[p] is the first sorted position p0 <= p with v[order][p0] equal to
-    v[order][p], so a value's start is the number of values strictly below
-    it.  Without adjacent equal values the starts are the positions
-    themselves; otherwise the positions of tied successors are zeroed and a
-    running maximum carries each group's first position forward.  NaN has
-    no place in a strict order and is rejected; argsort puts it last.
+    ``positions`` holds 0, 1, ..., v.size - 1 (int or float).  start[p] is
+    the first sorted position p0 <= p with v[order][p0] equal to v[order][p],
+    so a value's start is the number of values strictly below it.  Without
+    adjacent equal values the starts are the positions themselves, and
+    ``positions`` is returned as it is: it is shared, so no caller may write
+    into it.  Otherwise the starts are a copy of it in which the positions of
+    tied successors are zeroed and a running maximum carries each group's
+    first position forward.  NaN has no place in a strict order and is
+    rejected; argsort puts it last.
     """
-    order = np.argsort(v, kind=kind)
+    order = v.argsort(kind=kind)
     sv = v[order]
     if math.isnan(sv[-1]):
         raise ValueError("cannot rank NaN values")
-    start = np.arange(v.size)
     tied = sv[1:] == sv[:-1]
-    if np.count_nonzero(tied):
-        start[1:][tied] = 0
-        np.maximum.accumulate(start, out=start)
+    if not np.count_nonzero(tied):
+        return order, positions
+    start = positions.copy()
+    start[1:][tied] = 0
+    np.maximum.accumulate(start, out=start)
     return order, start
 
 
@@ -163,7 +167,7 @@ def rank_strict_less(values) -> np.ndarray:
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("need at least one value")
-    order, start = _sort_with_tie_starts(v)
+    order, start = _sort_with_tie_starts(v, np.arange(v.size))
     out = np.empty_like(start)
     out[order] = start
     return out
@@ -176,7 +180,7 @@ def _weighted_less_sums(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     value takes the prefix up to the start of its tie group.  Raises
     ValueError on NaN, like ``rank_strict_less``.
     """
-    order, start = _sort_with_tie_starts(phi, kind="stable")
+    order, start = _sort_with_tie_starts(phi, np.arange(phi.size), kind="stable")
     prefix = np.concatenate(([0.0], np.cumsum(u[order])))
     out = np.empty(phi.size)
     out[order] = prefix[start]
@@ -234,7 +238,9 @@ class Criterion:
     (``sample.z[rows]``) and returns sum_i weighted_y_i * below_i / norm.
     weighted_y_i is y_i times the row's own weight; below_i counts the rows
     with phi_j < phi_i, or sums their pair weights when ``weighted_below``
-    is set.
+    is set.  ``positions`` (0.0, 1.0, ... per entering row, built once and
+    read-only) is what the ranking hands back as the counts when phi has no
+    ties; it is shared between calls and must not be written.
     """
 
     rows: Union[slice, np.ndarray]
@@ -242,10 +248,18 @@ class Criterion:
     norm: int
     n_used: int
     weighted_below: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        positions = np.arange(self.weighted_y.size, dtype=float)
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
 
     def value(self, phi: np.ndarray) -> float:
         if self.weighted_below is None:
-            below = rank_strict_less(phi)
+            order, start = _sort_with_tie_starts(phi, self.positions)
+            below = np.empty(phi.size)
+            below[order] = start
         else:
             below = self.weighted_below(phi)
         return float(self.weighted_y @ below) / self.norm

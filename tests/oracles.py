@@ -194,3 +194,88 @@ def dependent_prefix_columns(X):
     """{j : rank(X[:, :j+1]) == rank(X[:, :j])}, by SVD ranks of every prefix."""
     ranks = [0] + [int(np.linalg.matrix_rank(X[:, : j + 1])) for j in range(X.shape[1])]
     return [j for j in range(X.shape[1]) if ranks[j + 1] == ranks[j]]
+
+
+# --------------------------------------------------------------------------
+# the rank search: Nelder-Mead and its objective in their first numpy form
+# --------------------------------------------------------------------------
+
+NM_F_TOL = 1e-10  # simplex value-spread tolerance
+NM_X_TOL = 1e-6  # simplex parameter-spread tolerance
+
+
+def reference_rank_objective(D, offset, weighted_y, norm):
+    """gamma -> sum_i weighted_y_i * #{j : phi_j < phi_i} / norm at phi = offset + D @ gamma.
+
+    The counts are integers from the binary-search ranking above, so they
+    are exact however they are found; the floating-point steps are the
+    optimizer's: one matrix-vector product plus the offset, and one dot
+    product with the integer counts, divided by the normalizer.
+    """
+    return lambda gamma: float(weighted_y @ sorted_rank_strict_less(offset + D @ gamma)) / norm
+
+
+def reference_nelder_mead(f, x0, step, max_iters):
+    """Minimize f from x0; returns (x, fx).  The optimizer's search, step for step.
+
+    Standard reflect/expand/contract/shrink moves (1, 2, 1/2, 1/2).  Stops
+    on value-spread < NM_F_TOL or parameter-spread < NM_X_TOL, whichever
+    comes first.  On a value-spread (plateau) stop the centroid of the final
+    simplex replaces the best vertex unless it evaluates worse.
+    """
+    dim = x0.size
+    sim = np.empty((dim + 1, dim))
+    sim[0] = x0
+    for i in range(dim):
+        sim[i + 1] = x0
+        sim[i + 1, i] += step
+    fsim = np.array([f(v) for v in sim])
+
+    plateau = False
+    for _ in range(max_iters):
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+
+        if fsim[-1] - fsim[0] < NM_F_TOL:
+            plateau = True
+            break
+        if np.max(np.abs(sim[1:] - sim[0])) < NM_X_TOL:
+            break
+
+        centroid = np.mean(sim[:-1], axis=0)
+        xr = centroid + (centroid - sim[-1])
+        fr = f(xr)
+        if fr < fsim[0]:
+            xe = centroid + 2.0 * (centroid - sim[-1])
+            fe = f(xe)
+            if fe < fr:
+                sim[-1], fsim[-1] = xe, fe
+            else:
+                sim[-1], fsim[-1] = xr, fr
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            if fr < fsim[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+                fc = f(xc)
+                accept = fc <= fr
+            else:
+                xc = centroid - 0.5 * (centroid - sim[-1])
+                fc = f(xc)
+                accept = fc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fc
+            else:
+                for i in range(1, dim + 1):
+                    sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
+                    fsim[i] = f(sim[i])
+
+    order = np.argsort(fsim, kind="stable")
+    sim, fsim = sim[order], fsim[order]
+    best_x, best_f = sim[0], fsim[0]
+    if plateau:
+        cand = np.mean(sim, axis=0)
+        fcand = f(cand)
+        if fcand <= best_f:
+            best_x, best_f = cand, fcand
+    return best_x, best_f

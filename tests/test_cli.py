@@ -274,15 +274,16 @@ def test_estimate_window_too_small_to_fit_exit_3(dataset, tmp_path, capsys):
 
 
 def test_unwritable_output_paths_exit_1_naming_the_path(dataset, tmp_path, capsys, monkeypatch):
-    out = tmp_path / "missing" / "x.csv"
-    argv = ["estimate", "--out", str(out)]
-    for name in ("data", "schema", "spec", "grid"):
-        argv += [f"--{name}", dataset[name]]
-    # the fit does not start when its output cannot be written
+    # the fit does not start when its output cannot be written: a missing
+    # directory, or a path that names an existing directory
     monkeypatch.setattr(cli, "maximize_rank_criterion", lambda *a: pytest.fail("the fit ran"))
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("file error: ") and str(out) in err and err.count("\n") == 1
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        argv = ["estimate", "--out", str(out)]
+        for name in ("data", "schema", "spec", "grid"):
+            argv += [f"--{name}", dataset[name]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and str(out) in err and err.count("\n") == 1
     # the sweep does not start when its output directory cannot be made
     blocker = tmp_path / "a_file"
     blocker.write_text("")

@@ -39,6 +39,8 @@ from oracles import (
     bruteforce_rank_criterion_weighted,
     dependent_prefix_columns,
     pinned_block_lstsq,
+    reference_nelder_mead,
+    reference_rank_objective,
 )
 
 
@@ -216,6 +218,45 @@ def test_objective_matches_bruteforce_for_every_variant():
             phi = offset + D @ gamma
             assert len(np.unique(phi)) < n
             assert objective(gamma) == pytest.approx(oracle(phi), abs=1e-12), variant
+
+
+def test_fits_match_the_reference_search_bit_for_bit():
+    # integer regressors repeat rows, so phi has exact ties at every candidate
+    # and both branches of the ranking run
+    rng = np.random.default_rng(17)
+    n = 80
+    z = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    w = rng.integers(-2, 3, size=(n, 1)) / 2.0
+    sample = Sample(y=rng.normal(size=n), z=z, w=w)
+    spec = _spline_spec(z[:, 1], 2, 1)
+    cfg = OptimizerConfig(n_starts=4, max_iters=150, rng_seed=23)
+    everyone = np.ones(n, dtype=bool)
+    cases = [
+        (FullRank(), everyone, n * (n - 1)),
+        (DiscreteW([0.5]), w[:, 0] == 0.5, None),
+        (Weighted([0.0], KernelSpec("uniform", [0.8])), np.abs(w[:, 0] / 0.8) < 1.0, n * (n - 1)),
+    ]
+    for variant, rows, norm in cases:
+        m = int(np.count_nonzero(rows))
+        D, offset = design_matrix(spec, z[rows])
+        objective = reference_rank_objective(D, offset, sample.y[rows], norm or m * (m - 1))
+        best = None
+        for s in range(cfg.n_starts):
+            start_rng = np.random.default_rng(np.random.SeedSequence((cfg.rng_seed, s)))
+            x0 = start_rng.uniform(-cfg.init_scale, cfg.init_scale, size=spec.n_free)
+            x, fx = reference_nelder_mead(
+                lambda g: -objective(g), x0, 0.5 * cfg.init_scale, cfg.max_iters
+            )
+            key = (fx, float(np.linalg.norm(x)), s)
+            if best is None or key < best[0]:
+                best = (key, x)
+        value, gamma = -best[0][0], best[1]
+        value_zero = objective(np.zeros(spec.n_free))
+        if value < value_zero:
+            gamma, value = np.zeros(spec.n_free), value_zero
+        fit = maximize_rank_criterion(sample, spec, variant, cfg)
+        assert float(fit.criterion_value).hex() == float(value).hex(), variant
+        assert [x.hex() for x in fit.coefficients] == [x.hex() for x in gamma], variant
 
 
 def test_discrete_w_variant_fits_on_cell():

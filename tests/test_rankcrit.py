@@ -21,7 +21,7 @@ from oracles import (
     sorted_rank_strict_less,
     sorted_weighted_less_sums,
 )
-from ranksieve.rankcrit import _weighted_less_sums
+from ranksieve.rankcrit import FullRank, _weighted_less_sums, bind_criterion
 
 
 def _random_values(rng, n):
@@ -88,11 +88,27 @@ def _ranking_inputs(rng, n):
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 1000, 5000])
+@pytest.mark.parametrize("n", [1, 2, 40, 1000, 5000])
 def test_rank_matches_sorted_search_reference(n):
     rng = np.random.default_rng(n)
-    for name, v in _ranking_inputs(rng, n).items():
+    inputs = _ranking_inputs(rng, n)
+    for name, v in inputs.items():
         np.testing.assert_array_equal(rank_strict_less(v), sorted_rank_strict_less(v), err_msg=name)
+    if n < 2:
+        return
+    # one bound criterion, with and without ties in turn: without ties the
+    # ranking hands back the criterion's shared positions, which nothing may write
+    sample = Sample(y=rng.normal(size=n), z=np.zeros((n, 1)))
+    crit = bind_criterion(sample, FullRank())
+    for name in ("tie_free", "signed_zeros", "tie_free", "infinite", "tie_free", "all_equal",
+                 "tie_free", "integers", "tie_free"):
+        v = inputs[name]
+        if n <= 40:
+            np.testing.assert_array_equal(rank_strict_less(v), bruteforce_rank_strict_less(v))
+            expected = bruteforce_rank_criterion(sample, v)
+        else:
+            expected = float(sample.y @ sorted_rank_strict_less(v)) / (n * (n - 1))
+        assert crit.value(v) == pytest.approx(expected, abs=1e-12), name
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000, 5000])
