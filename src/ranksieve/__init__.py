@@ -55,6 +55,7 @@ from .simulate import (
     MCConfig,
     MCSummary,
     approximate_quantiles,
+    fit_local_aggregate,
     generate,
     h_piecewise,
     ks_two_sample,
@@ -103,6 +104,7 @@ __all__ = [
     "derive_seed",
     "design_matrix",
     "evaluate_on_grid",
+    "fit_local_aggregate",
     "generate",
     "h_piecewise",
     "kernel_weights",

@@ -39,7 +39,7 @@ from .optimize import (
     maximize_rank_criterion,
     series_ols,
 )
-from .rankcrit import KernelSpec
+from .rankcrit import _KERNEL_FAMILIES, KernelSpec
 from .simulate import MCConfig, run_monte_carlo, write_summary_csvs
 from .sieve import sieve_spec_from_json
 
@@ -273,9 +273,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--w0", type=float, nargs="+", default=None, help="control point")
     p.add_argument("--bandwidth", type=float, nargs="+", default=None, help="kernel bandwidths")
-    p.add_argument(
-        "--kernel", choices=["uniform", "gaussian", "epanechnikov"], default="uniform"
-    )
+    p.add_argument("--kernel", choices=_KERNEL_FAMILIES, default="uniform")
     p.add_argument("--grid", required=True, help="grid JSON file")
     p.add_argument("--out", required=True, help="output curve CSV")
     p.add_argument("--seed", type=int, default=0, help="optimizer seed")

@@ -63,6 +63,14 @@ def _store_ints(cfg, *names: str) -> None:
         object.__setattr__(cfg, name, ints if isinstance(value, tuple) else ints[0])
 
 
+def _require_finite(cfg, *names: str) -> None:
+    """Raise a ValueError naming the first named field of ``cfg`` that is not a finite number."""
+    for name in names:
+        v = getattr(cfg, name)
+        if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Multi-start Nelder-Mead settings.
@@ -80,6 +88,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _store_ints(self, "n_starts", "max_iters", "rng_seed")
+        _require_finite(self, "init_scale")
         if self.n_starts < 1 or self.max_iters < 1:
             raise ValueError("n_starts and max_iters must be positive")
         if self.init_scale <= 0:

@@ -17,6 +17,8 @@ anchors both (and the target curve sin) at the point (0, 0), scores mean
 squared error on a fixed grid, runs a two-sample Kolmogorov-Smirnov test of
 Y against Y*, and accumulates pointwise median curves of both estimators
 (plus 0.05/0.95 quantile curves of the rank estimator) across replications.
+On the weighted DGP the rank estimate comes from :func:`fit_local_aggregate`,
+kernel-window fits at control values drawn from W, combined pointwise.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .optimize import (
     FullRank,
     OptimizerConfig,
     Weighted,
+    _require_finite,
     _store_ints,
     _substream,
     derive_seed,
@@ -85,6 +88,7 @@ class DgpConfig:
 
     def __post_init__(self):
         _store_ints(self, "n", "quantile_approx_draws", "seed")
+        _require_finite(self, "sigma", "c", "a", "b")
         if self.variant not in ("baseline", "weighted"):
             raise ValueError("variant must be 'baseline' or 'weighted'")
         if self.n < 2:
@@ -271,6 +275,7 @@ class MCConfig:
             self, "n", "K", "replications", "master_seed", "spline_degree", "grid_points",
             "quantile_approx_draws", "n_w_draws", "n_jobs",
         )
+        _require_finite(self, "grid_margin", "bandwidth_scale")  # the DGP checks sigma, c, a, b
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (self.sigma and self.c and self.K):
@@ -287,6 +292,7 @@ class MCConfig:
             raise ValueError("invalid evaluation grid")
         if self.aggregation not in ("ls", "lad"):
             raise ValueError("aggregation must be 'ls' or 'lad'")
+        KernelSpec(self.kernel, [1.0])  # the kernel family's own check
         if self.n_w_draws < 1:
             raise ValueError("n_w_draws must be positive")
         if self.bandwidth_scale <= 0:
@@ -412,13 +418,36 @@ def _run_replication(cfg: MCConfig, cell_index: int, rep: int) -> dict:
         return {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
-    """Local window fits at drawn control values, combined pointwise.
+def fit_local_aggregate(
+    sample: Sample, spec: SieveSpec, kernel: KernelSpec, w0s, optimizers, grid, aggregation="lad"
+) -> tuple[np.ndarray, list]:
+    """Fit the kernel window at each control point of ``w0s``; returns ``(curve, fits)``.
 
-    A draw is skipped when ``maximize_rank_criterion`` raises
-    EmptyWindowError, that is when its window has too few rows with weight
-    for the spec, whatever the kernel.  Returns the aggregated curve and
-    whether more than half of the local fits made were degenerate.
+    Point d is fitted with ``optimizers[d]``.  A window too thin for the spec
+    (EmptyWindowError) is skipped, and its entry in ``fits`` is None.  The
+    other fits' curves on ``grid`` are combined pointwise by the median
+    ("lad") or the mean ("ls").
+    """
+    if aggregation not in ("ls", "lad"):
+        raise ValueError("aggregation must be 'ls' or 'lad'")
+    fits = []
+    for w0, opt in zip(w0s, optimizers, strict=True):
+        try:
+            fits.append(maximize_rank_criterion(sample, spec, Weighted(w0, kernel), opt))
+        except EmptyWindowError:
+            fits.append(None)
+    curves = [evaluate_on_grid(fit, grid) for fit in fits if fit is not None]
+    if not curves:
+        raise NumericalError("no control draw produced a usable local fit")
+    estimates = LocalEstimateSet(grid=grid, curves=np.vstack(curves))
+    curve = aggregate_lad(estimates) if aggregation == "lad" else aggregate_ls(estimates)
+    return curve, fits
+
+
+def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
+    """The paper's local fits: bandwidth scale x SD of W, at control values drawn from W.
+
+    Returns the aggregated curve and whether more than half of the fits made were degenerate.
     """
     w_flat = sample.w[:, 0]
     s = cfg.bandwidth_scale * float(np.std(w_flat))
@@ -428,25 +457,15 @@ def _weighted_replication(cfg, cell_index, rep, sample, spec, grid_pts):
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, cell_index, rep, 2))
     w_draws = rng.choice(w_flat, size=cfg.n_w_draws, replace=True)
-
-    curves = []
-    n_degenerate = 0
-    for d, w0 in enumerate(w_draws):
-        opt = replace(
-            cfg.local_optimizer,
-            rng_seed=derive_seed(cfg.master_seed, cell_index, rep, 3, d),
-        )
-        try:
-            fit = maximize_rank_criterion(sample, spec, Weighted(np.array([w0]), kernel), opt)
-        except EmptyWindowError:
-            continue
-        n_degenerate += int(fit.degenerate)
-        curves.append(evaluate_on_grid(fit, grid_pts))
-    if not curves:
-        raise NumericalError("no control draw produced a usable local fit")
-    estimates = LocalEstimateSet(grid=grid_pts, curves=np.vstack(curves))
-    agg = aggregate_lad(estimates) if cfg.aggregation == "lad" else aggregate_ls(estimates)
-    return agg, n_degenerate > len(curves) // 2
+    optimizers = [
+        replace(cfg.local_optimizer, rng_seed=derive_seed(cfg.master_seed, cell_index, rep, 3, d))
+        for d in range(cfg.n_w_draws)
+    ]
+    curve, fits = fit_local_aggregate(
+        sample, spec, kernel, w_draws, optimizers, grid_pts, cfg.aggregation
+    )
+    made = [fit for fit in fits if fit is not None]
+    return curve, sum(fit.degenerate for fit in made) > len(made) // 2
 
 
 def _weighted_series_curve(cfg, sample, K, grid_pts):

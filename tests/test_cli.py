@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranksieve import MCConfig, cli
+from ranksieve import MCConfig, Sample, cli, simulate
 from ranksieve.cli import main
 
 
@@ -494,6 +494,47 @@ def test_simulate_bad_config_exit_1(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps([1, 2]))
     args = ["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"), "--seed", "3"]
     assert main(args) == 1
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ({"optimizer": {"init_scale": float("nan")}}, "init_scale"),
+        ({"c": [float("inf")]}, "c"),
+        ({"sigma": [float("nan")]}, "sigma"),
+        ({"a": float("nan")}, "a"),
+        ({"grid_margin": float("nan")}, "grid_margin"),
+        ({"bandwidth_scale": float("inf")}, "bandwidth_scale"),
+        ({"kernel": "bogus"}, "kernel"),
+    ],
+)
+def test_simulate_bad_float_or_kernel_exit_1(tmp_path, capsys, monkeypatch, obj, name):
+    # json writes and reads NaN and Infinity; either is named before the sweep starts
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(obj))
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg: pytest.fail("the sweep ran"))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: {name}")
+
+
+def test_simulate_reports_failed_replications_and_exits_0(tmp_path, capsys, monkeypatch):
+    # a constant control has no bandwidth, so every replication fails
+    n = 40
+    rng = np.random.default_rng(17)
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    sample = Sample(y=rng.normal(size=n), z=z, w=np.full(n, 0.5))
+    monkeypatch.setattr(
+        simulate, "generate", lambda dgp: simulate.GeneratedSample(sample, sample.y)
+    )
+    cfg = {"variant": "weighted", "n": n, "K": [3], "replications": 2, "n_w_draws": 3,
+           "quantile_approx_draws": 10000, "grid_points": 5, "n_jobs": 1}
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "failed=2/2" in out
+    assert "2 replication(s) failed; see summary above" in out
 
 
 def test_grid_builder_forms():

@@ -25,6 +25,7 @@ from ranksieve import (
     make_knot_vector,
     maximize_rank_criterion,
     mse_on_grid,
+    rank_criterion,
     series_ols,
 )
 from ranksieve import optimize
@@ -128,6 +129,21 @@ def test_criterion_at_least_zero_vector_value():
     fit = maximize_rank_criterion(sample, spec, FullRank(), cfg)
     objective = _build_objective(sample, spec, FullRank())
     assert fit.criterion_value >= objective(np.zeros(spec.n_free))
+
+
+def test_zero_vector_replaces_a_worse_search_result():
+    # y = z1, the pinned term, so the zero spline ranks the rows exactly as y;
+    # one Nelder-Mead step from a start drawn at scale 100 cannot reach that
+    rng = np.random.default_rng(3)
+    n = 60
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    sample = Sample(y=z[:, 0], z=z)
+    spec = _spline_spec(z[:, 1], 2, 2)
+    cfg = OptimizerConfig(n_starts=1, max_iters=1, init_scale=100.0)
+    fit = maximize_rank_criterion(sample, spec, FullRank(), cfg)
+    assert fit.degenerate
+    np.testing.assert_array_equal(fit.coefficients, np.zeros(spec.n_free))
+    assert fit.criterion_value == rank_criterion(sample, z[:, 0])
 
 
 def test_coefficient_rescaling_leaves_criterion_unchanged():
@@ -492,3 +508,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(n_starts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(init_scale=-1.0)
+    for scale in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^init_scale must be a finite number"):
+            OptimizerConfig(init_scale=scale)

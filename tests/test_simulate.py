@@ -5,17 +5,26 @@ import pytest
 
 from ranksieve import (
     DgpConfig,
+    KernelSpec,
+    LocalEstimateSet,
     MCConfig,
     NumericalError,
     OptimizerConfig,
     Sample,
+    Weighted,
+    aggregate_lad,
+    aggregate_ls,
     approximate_quantiles,
+    evaluate_on_grid,
+    fit_local_aggregate,
     generate,
     h_piecewise,
     ks_two_sample,
+    maximize_rank_criterion,
     mse_on_grid,
     run_monte_carlo,
     simulate,
+    write_summary_csvs,
 )
 from ranksieve.simulate import (
     GeneratedSample,
@@ -342,6 +351,58 @@ def test_weighted_degeneracy_is_judged_over_the_fits_made(monkeypatch):
     assert cell.n_failed == 0 and cell.n_degenerate == 1
 
 
+def test_fit_local_aggregate_skips_an_empty_window_and_combines_the_rest():
+    rng = np.random.default_rng(16)
+    n = 120
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    sample = Sample(y=z[:, 0] + np.sin(z[:, 1]) + rng.normal(size=n), z=z, w=rng.uniform(-1, 1, n))
+    spec = _spline_spec(z[:, 1], 2, 1)
+    kernel = KernelSpec("uniform", [0.5])
+    w0s = [-0.5, 5.0, 0.0, 0.5]  # no control lies within 0.5 of 5.0
+    optimizers = [OptimizerConfig(n_starts=2, max_iters=60, rng_seed=d) for d in range(4)]
+    grid = np.column_stack([np.zeros(7), np.linspace(-2, 2, 7)])
+    curve, fits = fit_local_aggregate(sample, spec, kernel, w0s, optimizers, grid)
+    assert fits[1] is None and all(fits[d] is not None for d in (0, 2, 3))
+    # point d is fitted with its own optimizer config
+    direct = maximize_rank_criterion(sample, spec, Weighted([0.0], kernel), optimizers[2])
+    np.testing.assert_array_equal(fits[2].coefficients, direct.coefficients)
+    curves = np.vstack([evaluate_on_grid(fits[d], grid) for d in (0, 2, 3)])
+    expected = aggregate_lad(LocalEstimateSet(grid=grid, curves=curves))
+    assert [v.hex() for v in curve] == [v.hex() for v in expected]
+    curve_ls, _ = fit_local_aggregate(sample, spec, kernel, w0s, optimizers, grid, "ls")
+    expected_ls = aggregate_ls(LocalEstimateSet(grid=grid, curves=curves))
+    assert [v.hex() for v in curve_ls] == [v.hex() for v in expected_ls]
+    with pytest.raises(NumericalError, match="no control draw"):
+        fit_local_aggregate(sample, spec, kernel, [5.0, -5.0], optimizers[:2], grid)
+    with pytest.raises(ValueError):
+        fit_local_aggregate(sample, spec, kernel, w0s, optimizers[:3], grid)
+    with pytest.raises(ValueError, match="aggregation"):
+        fit_local_aggregate(sample, spec, kernel, w0s, optimizers, grid, "mean")
+
+
+def test_failed_replications_are_recorded_and_written_as_nan(monkeypatch, tmp_path):
+    # a constant control has no spread, so no bandwidth: every replication fails
+    n = 40
+    rng = np.random.default_rng(17)
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    sample = Sample(y=rng.normal(size=n), z=z, w=np.full(n, 0.5))
+    monkeypatch.setattr(simulate, "generate", lambda dgp: GeneratedSample(sample, sample.y))
+    summary = run_monte_carlo(_tiny_mc(variant="weighted", n=n, replications=2, n_w_draws=3))
+    cell = summary.cells[0]
+    assert cell.n_failed == cell.replications == 2
+    assert [(tag, rep) for tag, rep, _ in summary.failures] == [(cell.tag, 0), (cell.tag, 1)]
+    for _, _, message in summary.failures:
+        assert message.startswith("NumericalError: control variable is degenerate")
+    assert np.isnan([cell.mse_rank, cell.mse_ols, cell.ks_reject_rate]).all()
+    for curve in (cell.rank_median, cell.rank_q05, cell.rank_q95, cell.ols_median):
+        assert curve.shape == cell.grid.shape and np.isnan(curve).all()
+    write_summary_csvs(summary, str(tmp_path))
+    table = (tmp_path / "mse_table.csv").read_text().splitlines()
+    assert table[1].split(",")[3:] == ["nan", "nan", "nan", "2"]
+    rows = (tmp_path / f"curves_{cell.tag}.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[2:] == ["nan"] * 4 for row in rows)
+
+
 def test_mc_cell_grid_ordering():
     cfg = _tiny_mc(sigma=(0.5, 1.0), K=(3, 4))
     summary = run_monte_carlo(cfg)
@@ -391,6 +452,35 @@ def test_integer_fields_take_integral_numbers_and_reject_the_rest():
             MCConfig.from_dict(obj)
     with pytest.raises(ValueError, match="^seed must be an integer"):
         DgpConfig(seed=0.5)
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ({"optimizer": {"init_scale": float("nan")}}, "init_scale"),
+        ({"local_optimizer": {"init_scale": float("inf")}}, "init_scale"),
+        ({"sigma": [1.0, float("nan")]}, "sigma"),
+        ({"c": [float("inf")]}, "c"),
+        ({"a": float("nan")}, "a"),
+        ({"b": float("-inf")}, "b"),
+        ({"grid_margin": float("nan")}, "grid_margin"),
+        ({"bandwidth_scale": float("inf")}, "bandwidth_scale"),
+        ({"a": "0.5"}, "a"),
+        ({"grid_margin": True}, "grid_margin"),
+    ],
+)
+def test_float_fields_must_be_finite(obj, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        MCConfig.from_dict(obj)
+    if name in ("sigma", "c", "a", "b"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            DgpConfig(**{name: float("nan")})
+
+
+def test_mc_kernel_must_be_a_known_family():
+    assert MCConfig(kernel="epanechnikov").kernel == "epanechnikov"
+    with pytest.raises(ValueError, match="kernel family must be one of"):
+        MCConfig(kernel="bogus")
 
 
 def test_mc_from_dict_nested():
