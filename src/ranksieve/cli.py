@@ -5,7 +5,9 @@ Subcommands:
 * ``simulate``  - run a Monte Carlo sweep from a JSON config and write the
   MSE table plus per-cell curve CSVs.
 * ``estimate``  - fit the rank estimator and the series least-squares
-  comparison on a CSV dataset and write both curves on a grid.
+  comparison on a CSV dataset and write both curves on a grid.  ``--jobs N``
+  runs the optimizer's starts in N processes (default 0 = all cores); the
+  fit and every output are the same for every N.
 * ``aggregate`` - combine curve CSVs pointwise (mean or median).
 * ``summary``   - print a six-number summary per selected column.
 
@@ -185,7 +187,8 @@ def _cmd_estimate(args) -> int:
             f"grid dimension {grid.shape[1]} does not match regressor dimension {sample.d_z}"
         )
     opt = OptimizerConfig(rng_seed=args.seed)
-    fit = maximize_rank_criterion(sample, spec, variant, opt)
+    # positional: wrappers of this name may pass arguments on as *args
+    fit = maximize_rank_criterion(sample, spec, variant, opt, args.jobs)
     ols = series_ols(sample, spec)
     _write_curve_csv(
         args.out,
@@ -251,6 +254,19 @@ def _cmd_summary(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _job_count(text: str) -> int:
+    """The value of ``--jobs``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer (0 = all cores), got {text!r}"
+        )
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ranksieve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -277,6 +293,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="grid JSON file")
     p.add_argument("--out", required=True, help="output curve CSV")
     p.add_argument("--seed", type=int, default=0, help="optimizer seed")
+    p.add_argument(
+        "--jobs",
+        type=_job_count,
+        default=0,
+        help="processes for the optimizer's starts (default 0 = all cores); the fit does not "
+        "depend on it",
+    )
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("aggregate", help="combine curve CSVs pointwise")

@@ -21,7 +21,9 @@ the observed outcome at face value.
 
 from __future__ import annotations
 
+import multiprocessing
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,11 +66,26 @@ def _store_ints(cfg, *names: str) -> None:
 
 
 def _require_finite(cfg, *names: str) -> None:
-    """Raise a ValueError naming the first named field of ``cfg`` that is not a finite number."""
+    """Raise a ValueError naming the first named field of ``cfg`` that is not a finite number.
+
+    A tuple field is checked entry by entry.
+    """
     for name in names:
-        v = getattr(cfg, name)
-        if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)):
-            raise ValueError(f"{name} must be a finite number, got {v!r}")
+        value = getattr(cfg, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+def _worker_count(n_jobs: int, n_tasks: int) -> int:
+    """Processes to run ``n_tasks`` independent tasks on: ``n_jobs``, or all cores for 0.
+
+    Never more than one per task; an ``n_jobs`` that is not a non-negative
+    integer raises a ValueError.
+    """
+    if isinstance(n_jobs, bool) or not isinstance(n_jobs, numbers.Integral) or n_jobs < 0:
+        raise ValueError(f"n_jobs must be a non-negative integer (0 = all cores), got {n_jobs!r}")
+    return min(n_jobs or os.cpu_count() or 1, n_tasks)
 
 
 @dataclass(frozen=True)
@@ -209,11 +226,35 @@ def derive_seed(master_seed: int, *keys: int) -> int:
     return int(_seed_sequence(master_seed, keys).generate_state(1, dtype=np.uint64)[0])
 
 
+def _run_start(objective, n_free: int, cfg: OptimizerConfig, s: int):
+    """Nelder-Mead from start s; returns ``((-value, norm, s), gamma)``, the best key first."""
+    x0 = _substream(cfg.rng_seed, s).uniform(-cfg.init_scale, cfg.init_scale, size=n_free)
+    x, fx = _nelder_mead(lambda g: -objective(g), x0, 0.5 * cfg.init_scale, cfg)
+    return (fx, float(np.linalg.norm(x)), s), x
+
+
+# set in pool worker processes only: (objective, n_free, cfg) of the fit they run starts for
+_worker_fit = None
+
+
+def _bind_worker(
+    sample: Sample, spec: SieveSpec, variant: CriterionVariant, cfg: OptimizerConfig
+) -> None:
+    """Pool initializer: build the fit's objective once in this worker process."""
+    global _worker_fit
+    _worker_fit = (_build_objective(sample, spec, variant), spec.n_free, cfg)
+
+
+def _worker_start(s: int):
+    return _run_start(*_worker_fit, s)
+
+
 def maximize_rank_criterion(
     sample: Sample,
     spec: SieveSpec,
     variant: CriterionVariant,
     cfg: OptimizerConfig,
+    n_jobs: int = 1,
 ) -> PhiEstimate:
     """Fit the sieve coefficients by maximizing the selected criterion variant.
 
@@ -225,20 +266,27 @@ def maximize_rank_criterion(
     returned estimate is normalized; ``degenerate`` is set when no start
     improved on the zero coefficient vector.  For every variant, fewer rows
     with weight than the free coefficients plus two raise EmptyWindowError.
+
+    ``n_jobs`` processes run the starts (0 = all cores, never more than
+    ``n_starts``); with 1 they run in this process.  The fit is
+    bit-identical for every ``n_jobs``.  The pool is closed before the call
+    returns or raises, and an exception in a worker reaches the caller.
     """
     n_free = spec.n_free
     if n_free == 0:
         raise NumericalError("spec has no free coefficients to search over")
-    objective = _build_objective(sample, spec, variant)
+    workers = _worker_count(n_jobs, cfg.n_starts)
+    objective = _build_objective(sample, spec, variant)  # its checks run before any process starts
 
-    best = None  # (value, norm, start_index, gamma)
-    for s in range(cfg.n_starts):
-        x0 = _substream(cfg.rng_seed, s).uniform(-cfg.init_scale, cfg.init_scale, size=n_free)
-        x, fx = _nelder_mead(lambda g: -objective(g), x0, 0.5 * cfg.init_scale, cfg)
-        key = (fx, float(np.linalg.norm(x)), s)
-        if best is None or key < best[0]:
-            best = (key, x)
-    (neg_value, _, _), gamma = best
+    if workers == 1:
+        results = [_run_start(objective, n_free, cfg, s) for s in range(cfg.n_starts)]
+    else:
+        init = (sample, spec, variant, cfg)
+        with multiprocessing.get_context().Pool(workers, _bind_worker, init) as pool:
+            results = pool.map(_worker_start, range(cfg.n_starts), chunksize=1)
+            pool.close()
+            pool.join()
+    (neg_value, _, _), gamma = min(results, key=lambda result: result[0])
     value = -neg_value
 
     zero = np.zeros(n_free)

@@ -42,6 +42,7 @@ from .optimize import (
     _require_finite,
     _store_ints,
     _substream,
+    _worker_count,
     derive_seed,
     evaluate_on_grid,
     maximize_rank_criterion,
@@ -268,14 +269,17 @@ class MCConfig:
     n_jobs: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        for name in ("sigma", "c"):
+            entries = tuple(getattr(self, name))
+            object.__setattr__(self, name, entries)
+            _require_finite(self, name)  # before float() would take "0.5" or True
+            object.__setattr__(self, name, tuple(float(v) for v in entries))
         object.__setattr__(self, "K", tuple(self.K))
         _store_ints(
             self, "n", "K", "replications", "master_seed", "spline_degree", "grid_points",
             "quantile_approx_draws", "n_w_draws", "n_jobs",
         )
-        _require_finite(self, "grid_margin", "bandwidth_scale")  # the DGP checks sigma, c, a, b
+        _require_finite(self, "grid_margin", "bandwidth_scale")  # the DGP checks a, b
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (self.sigma and self.c and self.K):
@@ -500,8 +504,8 @@ def run_monte_carlo(cfg: MCConfig) -> MCSummary:
     t0 = time.perf_counter()
     cells = _cells(cfg)
     tasks = [(ci, r) for ci in range(len(cells)) for r in range(cfg.replications)]
-    n_jobs = cfg.n_jobs if cfg.n_jobs > 0 else (os.cpu_count() or 1)
-    if n_jobs > 1 and len(tasks) > 1:
+    n_jobs = _worker_count(cfg.n_jobs, len(tasks))
+    if n_jobs > 1:
         with multiprocessing.get_context().Pool(processes=n_jobs) as pool:
             raw = pool.starmap(partial(_run_replication, cfg), tasks, chunksize=1)
     else:

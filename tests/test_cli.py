@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,49 @@ def test_estimate_weighted_variant(dataset, tmp_path):
     )
     assert code == 0
     assert len(_read_csv(out)) == 11
+
+
+@pytest.mark.parametrize(
+    "variant", [[], ["--variant", "weighted", "--w0", "0.0", "--bandwidth", "2.0"]]
+)
+def test_estimate_output_does_not_depend_on_jobs(dataset, tmp_path, capsys, variant):
+    out = tmp_path / "curves.csv"
+    outputs = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        argv = [
+            "estimate",
+            "--data", dataset["data"],
+            "--schema", dataset["schema"],
+            "--spec", dataset["spec"],
+            "--grid", dataset["grid"],
+            "--out", str(out),
+            "--seed", "7",
+        ]
+        assert main(argv + variant + jobs) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("jobs", ["-1", "1.5"])
+def test_estimate_bad_jobs_is_a_usage_error(dataset, tmp_path, capsys, jobs):
+    argv = [
+        "estimate",
+        "--data", dataset["data"],
+        "--schema", dataset["schema"],
+        "--spec", dataset["spec"],
+        "--grid", dataset["grid"],
+        "--out", str(tmp_path / "curves.csv"),
+        "--jobs", jobs,
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ranksieve estimate")
+    assert f"argument --jobs: must be a non-negative integer (0 = all cores), got '{jobs}'" in err
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def _readme_json_block(after):
@@ -506,6 +550,8 @@ def test_simulate_bad_config_exit_1(tmp_path, capsys, monkeypatch):
         ({"grid_margin": float("nan")}, "grid_margin"),
         ({"bandwidth_scale": float("inf")}, "bandwidth_scale"),
         ({"kernel": "bogus"}, "kernel"),
+        ({"sigma": [0.5, True]}, "sigma"),
+        ({"c": "3"}, "c"),
     ],
 )
 def test_simulate_bad_float_or_kernel_exit_1(tmp_path, capsys, monkeypatch, obj, name):

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,7 @@ from ranksieve import (
     series_ols,
 )
 from ranksieve import optimize
-from ranksieve.optimize import _build_objective, _deficient_columns, ols_fit
+from ranksieve.optimize import _build_objective, _deficient_columns, _worker_count, ols_fit
 from ranksieve.sieve import PhiEstimate, apply_normalization
 from ranksieve.simulate import _spline_spec
 
@@ -273,6 +276,101 @@ def test_fits_match_the_reference_search_bit_for_bit():
         fit = maximize_rank_criterion(sample, spec, variant, cfg)
         assert float(fit.criterion_value).hex() == float(value).hex(), variant
         assert [x.hex() for x in fit.coefficients] == [x.hex() for x in gamma], variant
+
+
+@pytest.fixture
+def start_method():
+    """Set the default multiprocessing start method for one test."""
+    old = multiprocessing.get_start_method(allow_none=True)
+    yield lambda method: multiprocessing.set_start_method(method, force=True)
+    multiprocessing.set_start_method(old, force=True)
+
+
+def _parallel_case():
+    rng = np.random.default_rng(29)
+    n = 120
+    z = np.column_stack([rng.normal(size=n), rng.uniform(-3, 3, n)])
+    w = rng.integers(-2, 3, size=(n, 1)) / 2.0
+    sample = Sample(y=z[:, 0] + np.sin(z[:, 1]) + rng.normal(size=n), z=z, w=w)
+    spec = _spline_spec(z[:, 1], 2, 1)
+    return sample, spec, OptimizerConfig(n_starts=5, max_iters=80, rng_seed=31)
+
+
+def _hexed(fit):
+    values = [fit.criterion_value, *fit.coefficients, fit.scale, fit.shift]
+    return [float(v).hex() for v in values] + [fit.degenerate]
+
+
+def test_worker_count_maps_zero_to_all_cores_and_caps_at_the_tasks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _worker_count(0, 3) == 3
+    assert _worker_count(0, 100) == 64
+    assert _worker_count(2, 20) == 2
+    assert _worker_count(np.int64(8), 5) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(0, 20) == 1
+    for bad in (-1, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="^n_jobs must be a non-negative integer"):
+            _worker_count(bad, 4)
+
+
+def test_fits_do_not_depend_on_the_worker_count():
+    sample, spec, cfg = _parallel_case()
+    gaussian = KernelSpec("gaussian", [0.8])
+    variants = [
+        FullRank(),
+        DiscreteW([0.5]),
+        Weighted([0.0], KernelSpec("uniform", [0.8])),
+        Weighted([0.0], gaussian),
+        Pairwise(gaussian),
+    ]
+    for variant in variants:
+        fits = [maximize_rank_criterion(sample, spec, variant, cfg, jobs) for jobs in (1, 2, 3)]
+        assert _hexed(fits[1]) == _hexed(fits[0]), variant
+        assert _hexed(fits[2]) == _hexed(fits[0]), variant
+        assert multiprocessing.active_children() == []
+
+
+def test_empty_window_raises_before_any_process_starts(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    sample, spec, cfg = _parallel_case()
+    with pytest.raises(EmptyWindowError):
+        maximize_rank_criterion(sample, spec, DiscreteW([9.0]), cfg, 2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(AssertionError, match="pool was requested"):  # a fit that can run asks
+        maximize_rank_criterion(sample, spec, DiscreteW([0.5]), cfg, 2)
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch, start_method):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the workers must inherit the patched search")
+    start_method("fork")
+    parent = os.getpid()
+    nelder_mead = optimize._nelder_mead
+
+    def failing_in_workers(f, x0, step, cfg):
+        if os.getpid() != parent:
+            raise NumericalError("search failed in a worker")
+        return nelder_mead(f, x0, step, cfg)
+
+    monkeypatch.setattr(optimize, "_nelder_mead", failing_in_workers)
+    sample, spec, cfg = _parallel_case()
+    with pytest.raises(NumericalError, match="^search failed in a worker$") as exc:
+        maximize_rank_criterion(sample, spec, FullRank(), cfg, 2)
+    assert type(exc.value) is NumericalError
+    assert multiprocessing.active_children() == []
+    maximize_rank_criterion(sample, spec, FullRank(), cfg, 1)  # in this process it runs
+
+
+def test_spawned_workers_give_the_same_fit(start_method):
+    start_method("spawn")
+    sample, spec, cfg = _parallel_case()
+    fits = [maximize_rank_criterion(sample, spec, FullRank(), cfg, jobs) for jobs in (1, 2)]
+    assert _hexed(fits[1]) == _hexed(fits[0])
+    assert multiprocessing.active_children() == []
 
 
 def test_discrete_w_variant_fits_on_cell():

@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,6 +301,25 @@ def test_mc_results_do_not_depend_on_worker_count(variant):
     assert hexed(cells[0]) == hexed(cells[1])
 
 
+def test_mc_starts_no_more_workers_than_replications(monkeypatch):
+    pools = []
+    context = multiprocessing.get_context()
+
+    def recording_pool(processes):
+        pools.append(processes)
+        return context.Pool(processes=processes)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    recording = SimpleNamespace(Pool=recording_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: recording)
+    summary = run_monte_carlo(_tiny_mc(replications=3, n_jobs=0))
+    assert pools == [3]
+    assert summary.cells[0].n_failed == 0
+    run_monte_carlo(_tiny_mc(replications=1, n_jobs=0))
+    assert pools == [3]  # one replication runs in this process
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("kernel", ["uniform", "epanechnikov"])
 def test_weighted_replication_skips_small_windows_for_compact_kernels(kernel):
     # controls in far-apart pairs: every window holds 2 rows, below n_free + 2 = 6
@@ -467,6 +489,9 @@ def test_integer_fields_take_integral_numbers_and_reject_the_rest():
         ({"bandwidth_scale": float("inf")}, "bandwidth_scale"),
         ({"a": "0.5"}, "a"),
         ({"grid_margin": True}, "grid_margin"),
+        ({"sigma": ["0.5", 1.0]}, "sigma"),
+        ({"sigma": [0.5, True]}, "sigma"),
+        ({"c": "3"}, "c"),
     ],
 )
 def test_float_fields_must_be_finite(obj, name):
