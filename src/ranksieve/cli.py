@@ -5,9 +5,10 @@ Subcommands:
 * ``simulate``  - run a Monte Carlo sweep from a JSON config and write the
   MSE table plus per-cell curve CSVs.
 * ``estimate``  - fit the rank estimator and the series least-squares
-  comparison on a CSV dataset and write both curves on a grid.  ``--jobs N``
-  runs the optimizer's starts in N processes (default 0 = all cores); the
-  fit and every output are the same for every N.
+  comparison on a CSV dataset and write both curves on a grid.  The
+  optimizer's starts run on all cores when worker processes fork and the
+  sample has at least ``POOL_MIN_ROWS`` rows, else in this process; the fit
+  and every output are the same either way.
 * ``aggregate`` - combine curve CSVs pointwise (mean or median).
 * ``summary``   - print a six-number summary per selected column.
 
@@ -22,6 +23,7 @@ import csv
 import errno
 import glob
 import json
+import multiprocessing
 import os
 import sys
 from typing import Callable
@@ -49,6 +51,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# Below this many rows a pool of forked workers saves less than it costs to
+# start: on 2 cores the 20-start fit took 0.11 s in-process and 0.084 s with 2
+# workers at n = 1000, and broke even near n = 250.
+POOL_MIN_ROWS = 1000
 
 
 class ConfigError(Exception):
@@ -172,6 +179,19 @@ def _load_dataset(args):
     return schema, sample
 
 
+def _fit_jobs(sample) -> int:
+    """``n_jobs`` for estimate's fit: 0 (all cores) or 1 (this process).
+
+    Workers that start by ``spawn`` or ``forkserver`` re-import numpy for
+    each fit, which made a 4000-row fit slower than in-process on 2 cores,
+    so only forked workers on a sample of ``POOL_MIN_ROWS`` rows or more get
+    the pool.
+    """
+    if sample.n < POOL_MIN_ROWS or multiprocessing.get_start_method() != "fork":
+        return 1
+    return 0
+
+
 def _cmd_estimate(args) -> int:
     # fail before the fit, not after it
     if os.path.isdir(args.out):
@@ -188,7 +208,7 @@ def _cmd_estimate(args) -> int:
         )
     opt = OptimizerConfig(rng_seed=args.seed)
     # positional: wrappers of this name may pass arguments on as *args
-    fit = maximize_rank_criterion(sample, spec, variant, opt, args.jobs)
+    fit = maximize_rank_criterion(sample, spec, variant, opt, _fit_jobs(sample))
     ols = series_ols(sample, spec)
     _write_curve_csv(
         args.out,
@@ -254,19 +274,6 @@ def _cmd_summary(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _job_count(text: str) -> int:
-    """The value of ``--jobs``: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer (0 = all cores), got {text!r}"
-        )
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ranksieve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,13 +300,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="grid JSON file")
     p.add_argument("--out", required=True, help="output curve CSV")
     p.add_argument("--seed", type=int, default=0, help="optimizer seed")
-    p.add_argument(
-        "--jobs",
-        type=_job_count,
-        default=0,
-        help="processes for the optimizer's starts (default 0 = all cores); the fit does not "
-        "depend on it",
-    )
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("aggregate", help="combine curve CSVs pointwise")

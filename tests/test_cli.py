@@ -104,44 +104,46 @@ def test_estimate_weighted_variant(dataset, tmp_path):
 @pytest.mark.parametrize(
     "variant", [[], ["--variant", "weighted", "--w0", "0.0", "--bandwidth", "2.0"]]
 )
-def test_estimate_output_does_not_depend_on_jobs(dataset, tmp_path, capsys, variant):
+def test_estimate_output_does_not_depend_on_the_worker_count(
+    dataset, tmp_path, capsys, monkeypatch, variant
+):
     out = tmp_path / "curves.csv"
-    outputs = []
-    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
-        argv = [
-            "estimate",
-            "--data", dataset["data"],
-            "--schema", dataset["schema"],
-            "--spec", dataset["spec"],
-            "--grid", dataset["grid"],
-            "--out", str(out),
-            "--seed", "7",
-        ]
-        assert main(argv + variant + jobs) == 0
-        outputs.append((out.read_bytes(), capsys.readouterr().out))
-        assert multiprocessing.active_children() == []
-    assert outputs[1] == outputs[0]
-    assert outputs[2] == outputs[0]
-
-
-@pytest.mark.parametrize("jobs", ["-1", "1.5"])
-def test_estimate_bad_jobs_is_a_usage_error(dataset, tmp_path, capsys, jobs):
     argv = [
         "estimate",
         "--data", dataset["data"],
         "--schema", dataset["schema"],
         "--spec", dataset["spec"],
         "--grid", dataset["grid"],
-        "--out", str(tmp_path / "curves.csv"),
-        "--jobs", jobs,
-    ]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ranksieve estimate")
-    assert f"argument --jobs: must be a non-negative integer (0 = all cores), got '{jobs}'" in err
-    assert not (tmp_path / "curves.csv").exists()
+        "--out", str(out),
+        "--seed", "7",
+    ] + variant
+    fit = cli.maximize_rank_criterion
+    calls = []
+
+    def logged(*args):  # as the benchmark's fit log wraps it: positional arguments only
+        calls.append(args[4])
+        return fit(*args)
+
+    monkeypatch.setattr(cli, "maximize_rank_criterion", logged)
+    outputs = []
+    for jobs in (None, 2, 0):  # None: the count estimate works out itself (1 for 200 rows)
+        if jobs is not None:
+            monkeypatch.setattr(cli, "_fit_jobs", lambda sample, jobs=jobs: jobs)
+        assert main(argv) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert calls == [1, 2, 0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_estimate_pools_only_forked_workers_on_large_samples(monkeypatch):
+    rows = cli.POOL_MIN_ROWS
+    small, large = (Sample(y=np.zeros(n), z=np.zeros((n, 2))) for n in (rows - 1, rows))
+    for method, jobs in (("fork", 0), ("spawn", 1), ("forkserver", 1)):
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda method=method: method)
+        assert cli._fit_jobs(large) == jobs, method
+        assert cli._fit_jobs(small) == 1, method
 
 
 def _readme_json_block(after):
