@@ -45,7 +45,7 @@ from .optimize import (
 )
 from .rankcrit import _KERNEL_FAMILIES, KernelSpec
 from .simulate import MCConfig, run_monte_carlo, write_summary_csvs
-from .sieve import sieve_spec_from_json
+from .sieve import _as_int, sieve_spec_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,11 +111,19 @@ def _build_grid(obj: dict) -> np.ndarray:
         raise ValueError("grid must contain 'points', 'linspace' or 'product'")
     base = np.asarray(spec["base"], dtype=float)
     axes = spec["axes"]
-    grids = [np.linspace(float(a["start"]), float(a["stop"]), int(a["num"])) for a in axes]
+    grids = []
+    for a in axes:
+        num = _as_int("num", a["num"])
+        if num < 1:
+            raise ValueError(f"num must be at least 1, got {num}")
+        grids.append(np.linspace(float(a["start"]), float(a["stop"]), num))
     mesh = np.meshgrid(*grids, indexing="ij")
     pts = np.tile(base, (mesh[0].size, 1))
     for axis, m in zip(axes, mesh):
-        pts[:, int(axis["coord"])] = m.ravel()
+        coord = _as_int("coord", axis["coord"])
+        if not 0 <= coord < base.size:  # a negative index would select a column from the end
+            raise ValueError(f"coord {coord} is out of bounds for {base.size} grid columns")
+        pts[:, coord] = m.ravel()
     return pts
 
 

@@ -42,7 +42,7 @@ from .rankcrit import (  # the variant classes are re-exported from here
 )
 # bench/layers.py wraps these two by name on this module, so they stay importable here
 from .rankcrit import kernel_weights, rank_strict_less
-from .sieve import PhiEstimate, SieveSpec, apply_normalization, design_matrix
+from .sieve import PhiEstimate, SieveSpec, _as_int, apply_normalization, design_matrix
 
 F_TOL = 1e-10  # simplex value-spread tolerance
 X_TOL = 1e-6  # simplex parameter-spread tolerance
@@ -51,17 +51,12 @@ X_TOL = 1e-6  # simplex parameter-spread tolerance
 def _store_ints(cfg, *names: str) -> None:
     """Store the named fields of the frozen dataclass ``cfg`` as ints, tuples entry by entry.
 
-    An integral number such as 2.0, as a JSON file may write it, becomes 2;
-    any other value, such as 2.5, True or "2", raises a ValueError naming the field.
+    Each value goes through :func:`ranksieve.sieve._as_int`: 2.0 becomes 2,
+    and 2.5, True or "2" raises a ValueError naming the field.
     """
     for name in names:
         value = getattr(cfg, name)
-        entries = value if isinstance(value, tuple) else (value,)
-        for v in entries:
-            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-            if not (real and (isinstance(v, numbers.Integral) or float(v).is_integer())):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        ints = tuple(int(v) for v in entries)
+        ints = tuple(_as_int(name, v) for v in (value if isinstance(value, tuple) else (value,)))
         object.__setattr__(cfg, name, ints if isinstance(value, tuple) else ints[0])
 
 

@@ -15,6 +15,7 @@ functions are pinned down by an anchor-point (location) or two-point
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -356,12 +357,24 @@ def apply_normalization(estimate: PhiEstimate) -> PhiEstimate:
 # --------------------------------------------------------------------------
 
 
+def _as_int(name: str, v) -> int:
+    """``v`` as an int, for a setting read from a JSON or config file.
+
+    An integral number such as 2.0, as a JSON file may write it, becomes 2;
+    any other value, such as 2.5, True or "2", raises a ValueError naming the setting.
+    """
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real and (isinstance(v, numbers.Integral) or float(v).is_integer())):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _selector_from_json(obj: dict) -> RegressorSelector:
     if "coord" in obj:
-        return Coordinate(int(obj["coord"]))
+        return Coordinate(_as_int("coord", obj["coord"]))
     if "product" in obj:
         i, j = obj["product"]
-        return Product(int(i), int(j))
+        return Product(_as_int("product", i), _as_int("product", j))
     raise ValueError(f"unknown selector object: {obj!r}")
 
 
@@ -376,15 +389,18 @@ def sieve_spec_from_json(obj: dict, z: Optional[np.ndarray] = None) -> SieveSpec
     for cj in obj.get("components", []):
         sel = _selector_from_json(cj["input"])
         if cj["type"] == "identity":
+            pinned = cj.get("pinned", True)
+            if not isinstance(pinned, bool):
+                raise ValueError(f"pinned must be true or false, got {pinned!r}")
             comps.append(
                 IdentityComponent(
                     input=sel,
                     coefficient=float(cj.get("coefficient", 1.0)),
-                    pinned=bool(cj.get("pinned", True)),
+                    pinned=pinned,
                 )
             )
         elif cj["type"] == "spline":
-            degree = int(cj["degree"])
+            degree = _as_int("degree", cj["degree"])
             if "knots" in cj:
                 basis = BSplineBasis(degree, np.asarray(cj["knots"], dtype=float))
             else:
@@ -395,7 +411,7 @@ def sieve_spec_from_json(obj: dict, z: Optional[np.ndarray] = None) -> SieveSpec
                 basis = BSplineBasis(
                     degree,
                     make_knot_vector(sel.values(np.atleast_2d(np.asarray(z, dtype=float))),
-                                     degree, int(cj["n_interior"])),
+                                     degree, _as_int("n_interior", cj["n_interior"])),
                 )
             comps.append(SplineComponent(input=sel, basis=basis))
         else:

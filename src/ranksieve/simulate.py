@@ -19,6 +19,10 @@ Y against Y*, and accumulates pointwise median curves of both estimators
 (plus 0.05/0.95 quantile curves of the rank estimator) across replications.
 On the weighted DGP the rank estimate comes from :func:`fit_local_aggregate`,
 kernel-window fits at control values drawn from W, combined pointwise.
+
+The kink draw holds about 16 bytes per value, 16 MB at the default 10^6
+draws: U is drawn in chunks that continue one stream, so the quantiles are
+those of one whole-array draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -121,31 +125,48 @@ def h_piecewise(ystar, q30: float, q70: float, a: float, b: float):
     return out if out.ndim else float(out)
 
 
-def _draw_latent(cfg: DgpConfig, rng: np.random.Generator, size: int):
-    """Draw Z1, Z2, U (in that order) and the latent quantities built from them.
+# U comes last in substream 0, so approximate_quantiles draws it in chunks of
+# this length: chunked Generator draws continue the stream value for value
+QUANTILE_CHUNK = 1 << 16
 
-    Returns ``(z1, z2, w, ystar, h_arg)``: ``w`` is None for the baseline
-    DGP, and ``h_arg`` is the quantity the distortion h is applied to.
+
+def _draw_z(cfg: DgpConfig, rng: np.random.Generator, size: int):
+    """Draw Z1 and Z2, in that order; Z1 = 1 + sigma * N(0, 1) is formed in the buffer drawn."""
+    z1 = rng.standard_normal(size)
+    z1 *= cfg.sigma
+    z1 += 1.0
+    return z1, rng.uniform(-cfg.c, cfg.c, size)
+
+
+def _latent(cfg: DgpConfig, z1, z2, u):
+    """The latent quantities built from Z1, Z2 and U, elementwise.
+
+    Returns ``(w, ystar, h_arg)``: ``w`` is None for the baseline DGP, and
+    ``h_arg`` is the quantity the distortion h is applied to.
     """
-    z1 = 1.0 + cfg.sigma * rng.standard_normal(size)
-    z2 = rng.uniform(-cfg.c, cfg.c, size)
-    u = rng.standard_normal(size)
     if cfg.variant == "baseline":
         ystar = z1 + np.sin(z2) + u
-        return z1, z2, None, ystar, ystar
+        return None, ystar, ystar
     w = 0.5 * z2 + 0.5 * u
     ystar = z1 + np.sin(z2) + np.cos(w) + u * w**2
-    return z1, z2, w, ystar, ystar + w
+    return w, ystar, ystar + w
 
 
 def approximate_quantiles(cfg: DgpConfig) -> tuple[float, float]:
     """30%/70% quantiles of h's argument from a fresh simulated draw.
 
     Uses a dedicated RNG substream of ``cfg.seed``, so the result matches
-    the one :func:`generate` uses internally, and is deterministic.
+    the one :func:`generate` uses internally, and is deterministic.  h's
+    argument is built in Z1's buffer, chunk by chunk of U, so the draw holds
+    two arrays of its length.
     """
     rng = _substream(cfg.seed, 0)
-    h_arg = _draw_latent(cfg, rng, cfg.quantile_approx_draws)[4]
+    h_arg, z2 = _draw_z(cfg, rng, cfg.quantile_approx_draws)
+    for lo in range(0, h_arg.size, QUANTILE_CHUNK):
+        part = slice(lo, lo + QUANTILE_CHUNK)
+        u = rng.standard_normal(h_arg[part].size)
+        h_arg[part] = _latent(cfg, h_arg[part], z2[part], u)[2]
+    del z2
     # h_arg is a fresh draw no one else holds: partition it in place, not a copy
     q30, q70 = np.quantile(h_arg, [0.3, 0.7], overwrite_input=True)
     return float(q30), float(q70)
@@ -166,7 +187,8 @@ def generate(cfg: DgpConfig) -> GeneratedSample:
     """
     q30, q70 = approximate_quantiles(cfg)
     rng = _substream(cfg.seed, 1)
-    z1, z2, w, ystar, h_arg = _draw_latent(cfg, rng, cfg.n)
+    z1, z2 = _draw_z(cfg, rng, cfg.n)
+    w, ystar, h_arg = _latent(cfg, z1, z2, rng.standard_normal(cfg.n))
     v = rng.standard_normal(cfg.n)
     y = h_piecewise(h_arg, q30, q70, cfg.a, cfg.b)
     if w is None:

@@ -279,3 +279,50 @@ def reference_nelder_mead(f, x0, step, max_iters):
         if fcand <= best_f:
             best_x, best_f = cand, fcand
     return best_x, best_f
+
+
+# --------------------------------------------------------------------------
+# the synthetic DGPs: the whole-array latent draw in its first form
+# --------------------------------------------------------------------------
+
+
+def reference_latent_draw(variant, sigma, c, rng, size):
+    """Draw Z1, Z2 and U whole, in that order; returns (z1, z2, w, ystar, h_arg).
+
+    ``w`` is None for the baseline DGP.  Every array of the draw and every
+    temporary of the formulas is alive at once.
+    """
+    z1 = 1.0 + sigma * rng.standard_normal(size)
+    z2 = rng.uniform(-c, c, size)
+    u = rng.standard_normal(size)
+    if variant == "baseline":
+        ystar = z1 + np.sin(z2) + u
+        return z1, z2, None, ystar, ystar
+    w = 0.5 * z2 + 0.5 * u
+    ystar = z1 + np.sin(z2) + np.cos(w) + u * w**2
+    return z1, z2, w, ystar, ystar + w
+
+
+def reference_kink_quantiles(variant, sigma, c, rng, draws):
+    """(q30, q70) of h's argument over one whole-array draw of ``draws`` values from rng."""
+    h_arg = reference_latent_draw(variant, sigma, c, rng, draws)[4]
+    q30, q70 = np.quantile(h_arg, [0.3, 0.7], overwrite_input=True)
+    return float(q30), float(q70)
+
+
+def reference_generate(variant, n, sigma, c, a, b, draws, kink_rng, sample_rng):
+    """(y, z, w, ystar) of one sample: kinks from kink_rng, the sample from sample_rng.
+
+    h is written as identity plus its two tail corrections; ``w`` is None
+    for the baseline DGP.
+    """
+    q30, q70 = reference_kink_quantiles(variant, sigma, c, kink_rng, draws)
+    z1, z2, w, ystar, h_arg = reference_latent_draw(variant, sigma, c, sample_rng, n)
+    v = sample_rng.standard_normal(n)
+    y = (
+        h_arg
+        + (b - 1.0) * np.maximum(h_arg - q70, 0.0)
+        + (1.0 - a) * np.maximum(q30 - h_arg, 0.0)
+    )
+    y = y + v if w is None else y + v * np.abs(w)
+    return y, np.column_stack([z1, z2]), w, ystar

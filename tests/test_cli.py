@@ -246,7 +246,7 @@ def test_estimate_config_errors_exit_1(dataset, tmp_path, capsys):
         assert err.startswith("config error: ") and "requires controls" in err
 
 
-def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys):
+def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys, monkeypatch):
     cases = [
         ("schema", {"z_columns": ["z1", "z2"]}, "missing key 'y_column'"),
         ("spec", {"components": [{"type": "spline", "degree": 2, "n_interior": 1}]},
@@ -256,6 +256,29 @@ def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys
         ("grid", {"linspace": {"coord": 7, "start": -1.0, "stop": 1.0, "num": 3,
                                "base": [0.0, 0.0]}}, "out of bounds"),
     ]
+    # integer settings take 2.0 but not 2.5, true or "2"; pinned takes only true or false
+    spline = {"type": "spline", "input": {"coord": 1}, "degree": 2, "n_interior": 1}
+    ident = {"type": "identity", "input": {"coord": 0}, "pinned": "false"}
+    for components, detail in [
+        ([dict(spline, input={"coord": 1.7})], "coord must be an integer, got 1.7"),
+        ([dict(spline, input={"coord": True})], "coord must be an integer, got True"),
+        ([dict(spline, degree=2.9)], "degree must be an integer, got 2.9"),
+        ([dict(spline, n_interior=2.5)], "n_interior must be an integer, got 2.5"),
+        ([ident, spline], "pinned must be true or false, got 'false'"),
+    ]:
+        cases.append(("spec", {"components": components}, detail))
+    for key, value, detail in [
+        ("num", 0, "num must be at least 1, got 0"),
+        ("num", 2.5, "num must be an integer, got 2.5"),
+        ("num", True, "num must be an integer, got True"),
+        ("coord", 1.7, "coord must be an integer, got 1.7"),
+        ("coord", "1", "coord must be an integer, got '1'"),
+        ("coord", -1, "coord -1 is out of bounds for 2 grid columns"),
+    ]:
+        axis = {"coord": 1, "start": -1.0, "stop": 1.0, "num": 3, key: value}
+        cases.append(("grid", {"linspace": dict(axis, base=[0.0, 0.0])}, detail))
+    # every file is read before the fit
+    monkeypatch.setattr(cli, "maximize_rank_criterion", lambda *a: pytest.fail("the fit ran"))
     for option, obj, detail in cases:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -608,6 +631,12 @@ def test_grid_builder_forms():
         }
     )
     assert prod.shape == (9, 2)
+
+    # integral floats, as a JSON file may write them, are integers
+    whole = _build_grid(
+        {"linspace": {"coord": 1.0, "start": 0.0, "stop": 1.0, "num": 3.0, "base": [9.0, 0.0]}}
+    )
+    np.testing.assert_array_equal(whole, lin)
     # row-major: the second coordinate varies fastest
     np.testing.assert_allclose(prod[0], [-20.0, -20.0])
     np.testing.assert_allclose(prod[1], [-20.0, 15.0])

@@ -363,6 +363,41 @@ def test_spec_json_two_point_and_product():
     assert isinstance(spec.normalization, TwoPoint)
 
 
+@pytest.mark.parametrize(
+    "component, detail",
+    [
+        ({"input": {"coord": 1.7}}, "coord must be an integer, got 1.7"),
+        ({"input": {"coord": True}}, "coord must be an integer, got True"),
+        ({"input": {"coord": "1"}}, "coord must be an integer, got '1'"),
+        ({"input": {"product": [0, 1.5]}}, "product must be an integer, got 1.5"),
+        ({"degree": 2.9}, "degree must be an integer, got 2.9"),
+        ({"degree": True}, "degree must be an integer, got True"),
+        ({"n_interior": 2.5}, "n_interior must be an integer, got 2.5"),
+        ({"type": "identity", "pinned": "false"}, "pinned must be true or false, got 'false'"),
+        ({"type": "identity", "pinned": 0}, "pinned must be true or false, got 0"),
+    ],
+    ids=["coord-1.7", "coord-true", "coord-str", "product-1.5", "degree-2.9", "degree-true",
+         "n_interior-2.5", "pinned-str", "pinned-0"],
+)
+def test_spec_json_rejects_non_integers_and_non_booleans(component, detail):
+    cj = dict({"type": "spline", "input": {"coord": 1}, "degree": 2, "n_interior": 1}, **component)
+    z = np.column_stack([np.zeros(9), np.arange(9.0)])
+    with pytest.raises(ValueError) as info:
+        sieve_spec_from_json({"components": [cj]}, z=z)
+    assert str(info.value) == detail
+
+
+def test_spec_json_takes_integral_floats():
+    z = np.column_stack([np.zeros(9), np.arange(9.0)])
+    as_floats = {"type": "spline", "input": {"coord": 1.0}, "degree": 2.0, "n_interior": 1.0}
+    as_ints = {"type": "spline", "input": {"coord": 1}, "degree": 2, "n_interior": 1}
+    a = sieve_spec_from_json({"components": [as_floats]}, z=z).components[0]
+    b = sieve_spec_from_json({"components": [as_ints]}, z=z).components[0]
+    assert a.input == b.input and type(a.input.index) is int
+    assert a.basis.degree == b.basis.degree and type(a.basis.degree) is int
+    np.testing.assert_array_equal(a.basis.knots, b.basis.knots)
+
+
 def test_immutability():
     basis = BSplineBasis(1, np.array([0.0, 0.0, 1.0, 2.0, 2.0]))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -30,15 +31,16 @@ from ranksieve import (
     write_summary_csvs,
 )
 from ranksieve.simulate import (
+    QUANTILE_CHUNK,
     GeneratedSample,
-    _draw_latent,
+    _draw_z,
     _kolmogorov_sf,
     _spline_spec,
     _substream,
     _weighted_replication,
 )
 
-from oracles import ecdf_sup_distance
+from oracles import ecdf_sup_distance, reference_generate, reference_kink_quantiles
 
 
 def _tiny_mc(**overrides):
@@ -127,6 +129,50 @@ def test_quantiles_deterministic():
     assert approximate_quantiles(cfg) == approximate_quantiles(cfg)
 
 
+@pytest.mark.parametrize(
+    "draws",
+    [10_000, QUANTILE_CHUNK - 1, QUANTILE_CHUNK, QUANTILE_CHUNK + 1, 1_000_000],
+)
+@pytest.mark.parametrize("variant", ["baseline", "weighted"])
+def test_chunked_quantiles_match_the_whole_array_draw_bitwise(variant, draws):
+    for sigma, c in [(0.5, 2.0), (0.5, 3.0), (2.0, 2.0), (2.0, 3.0)]:
+        cfg = DgpConfig(variant=variant, sigma=sigma, c=c, quantile_approx_draws=draws, seed=11)
+        ref = reference_kink_quantiles(variant, sigma, c, _substream(cfg.seed, 0), draws)
+        got = approximate_quantiles(cfg)
+        assert [q.hex() for q in got] == [q.hex() for q in ref], (sigma, c)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "weighted"])
+def test_generate_matches_the_whole_array_reference_bytewise(variant):
+    cfg = DgpConfig(variant=variant, n=700, sigma=0.5, c=2.0, a=0.0, b=0.3,
+                    quantile_approx_draws=QUANTILE_CHUNK + 1, seed=12)
+    y, z, w, ystar = reference_generate(
+        variant, cfg.n, cfg.sigma, cfg.c, cfg.a, cfg.b, cfg.quantile_approx_draws,
+        _substream(cfg.seed, 0), _substream(cfg.seed, 1),
+    )
+    gen = generate(cfg)
+    assert gen.sample.y.tobytes() == y.tobytes()
+    assert gen.sample.z.tobytes() == z.tobytes()
+    assert gen.ystar.tobytes() == ystar.tobytes()
+    if w is None:
+        assert gen.sample.w is None
+    else:
+        assert gen.sample.w[:, 0].tobytes() == w.tobytes()
+
+
+def test_quantile_draw_holds_about_two_arrays():
+    # Z1's buffer (which becomes h's argument) and Z2, plus chunk-sized temporaries
+    draws = 1_000_000
+    cfg = DgpConfig(variant="weighted", quantile_approx_draws=draws, seed=4)
+    tracemalloc.start()
+    try:
+        approximate_quantiles(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * draws, f"peak {peak / 1e6:.1f} MB"
+
+
 # --------------------------------------------------------------------------
 # sample generation
 # --------------------------------------------------------------------------
@@ -137,7 +183,8 @@ def test_generate_identity_distortion_no_noise():
     cfg = DgpConfig(n=500, a=1.0, b=1.0, seed=3, quantile_approx_draws=10_000)
     gen = generate(cfg)
     rng = _substream(cfg.seed, 1)
-    _draw_latent(cfg, rng, cfg.n)
+    _draw_z(cfg, rng, cfg.n)
+    rng.standard_normal(cfg.n)  # U
     v = rng.standard_normal(cfg.n)
     np.testing.assert_array_equal(gen.sample.y, gen.ystar + v)
 
