@@ -45,7 +45,7 @@ from .optimize import (
 )
 from .rankcrit import _KERNEL_FAMILIES, KernelSpec
 from .simulate import MCConfig, run_monte_carlo, write_summary_csvs
-from .sieve import _as_int, sieve_spec_from_json
+from .sieve import _as_float, _as_floats, _as_int, sieve_spec_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,21 +102,21 @@ def _build_grid(obj: dict) -> np.ndarray:
                    "base": [...]}}                           row-major product grid
     """
     if "points" in obj:
-        return np.atleast_2d(np.asarray(obj["points"], dtype=float))
+        return np.atleast_2d(_as_floats("points", obj["points"]))
     if "linspace" in obj:  # a product grid with one axis
         spec = {"axes": [obj["linspace"]], "base": obj["linspace"]["base"]}
     elif "product" in obj:
         spec = obj["product"]
     else:
         raise ValueError("grid must contain 'points', 'linspace' or 'product'")
-    base = np.asarray(spec["base"], dtype=float)
+    base = _as_floats("base", spec["base"])
     axes = spec["axes"]
     grids = []
     for a in axes:
         num = _as_int("num", a["num"])
         if num < 1:
             raise ValueError(f"num must be at least 1, got {num}")
-        grids.append(np.linspace(float(a["start"]), float(a["stop"]), num))
+        grids.append(np.linspace(_as_float("start", a["start"]), _as_float("stop", a["stop"]), num))
     mesh = np.meshgrid(*grids, indexing="ij")
     pts = np.tile(base, (mesh[0].size, 1))
     for axis, m in zip(axes, mesh):

@@ -42,7 +42,7 @@ from .rankcrit import (  # the variant classes are re-exported from here
 )
 # bench/layers.py wraps these two by name on this module, so they stay importable here
 from .rankcrit import kernel_weights, rank_strict_less
-from .sieve import PhiEstimate, SieveSpec, _as_int, apply_normalization, design_matrix
+from .sieve import PhiEstimate, SieveSpec, _as_float, _as_int, apply_normalization, design_matrix
 
 F_TOL = 1e-10  # simplex value-spread tolerance
 X_TOL = 1e-6  # simplex parameter-spread tolerance
@@ -63,13 +63,13 @@ def _store_ints(cfg, *names: str) -> None:
 def _require_finite(cfg, *names: str) -> None:
     """Raise a ValueError naming the first named field of ``cfg`` that is not a finite number.
 
-    A tuple field is checked entry by entry.
+    A tuple field is checked entry by entry, each entry by the rule of
+    :func:`ranksieve.sieve._as_float`.
     """
     for name in names:
         value = getattr(cfg, name)
         for v in value if isinstance(value, tuple) else (value,):
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            _as_float(name, v)
 
 
 def _worker_count(n_jobs: int, n_tasks: int) -> int:

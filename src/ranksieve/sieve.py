@@ -369,6 +369,28 @@ def _as_int(name: str, v) -> int:
     return int(v)
 
 
+def _as_float(name: str, v) -> float:
+    """``v`` as a finite float, for a setting read from a JSON or config file.
+
+    Any real number in the float range is taken; True, "2.5", NaN, an
+    infinity or an int beyond the float range raises a ValueError naming the setting.
+    """
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            out = float(v)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
+def _as_floats(name: str, values) -> np.ndarray:
+    """A number or (nested) list of numbers as a float array; each entry goes through _as_float."""
+    entries = np.asarray(values, dtype=object)
+    return np.array([_as_float(name, v) for v in entries.flat]).reshape(entries.shape)
+
+
 def _selector_from_json(obj: dict) -> RegressorSelector:
     if "coord" in obj:
         return Coordinate(_as_int("coord", obj["coord"]))
@@ -395,14 +417,14 @@ def sieve_spec_from_json(obj: dict, z: Optional[np.ndarray] = None) -> SieveSpec
             comps.append(
                 IdentityComponent(
                     input=sel,
-                    coefficient=float(cj.get("coefficient", 1.0)),
+                    coefficient=_as_float("coefficient", cj.get("coefficient", 1.0)),
                     pinned=pinned,
                 )
             )
         elif cj["type"] == "spline":
             degree = _as_int("degree", cj["degree"])
             if "knots" in cj:
-                basis = BSplineBasis(degree, np.asarray(cj["knots"], dtype=float))
+                basis = BSplineBasis(degree, _as_floats("knots", cj["knots"]))
             else:
                 if z is None:
                     raise ValueError(
@@ -422,14 +444,16 @@ def sieve_spec_from_json(obj: dict, z: Optional[np.ndarray] = None) -> SieveSpec
     if kind == "none":
         norm: Normalization = NoNormalization()
     elif kind == "anchor":
-        norm = Anchor(point=np.asarray(nj["point"], dtype=float), value=float(nj.get("value", 0.0)))
+        norm = Anchor(
+            point=_as_floats("point", nj["point"]), value=_as_float("value", nj.get("value", 0.0))
+        )
     elif kind == "two_point":
         (p1, p2), (v1, v2) = nj["points"], nj["values"]
         norm = TwoPoint(
-            point1=np.asarray(p1, dtype=float),
-            value1=float(v1),
-            point2=np.asarray(p2, dtype=float),
-            value2=float(v2),
+            point1=_as_floats("points", p1),
+            value1=_as_float("values", v1),
+            point2=_as_floats("points", p2),
+            value2=_as_float("values", v2),
         )
     else:
         raise ValueError(f"unknown normalization type {kind!r}")

@@ -20,9 +20,9 @@ Y against Y*, and accumulates pointwise median curves of both estimators
 On the weighted DGP the rank estimate comes from :func:`fit_local_aggregate`,
 kernel-window fits at control values drawn from W, combined pointwise.
 
-The kink draw holds about 16 bytes per value, 16 MB at the default 10^6
-draws: U is drawn in chunks that continue one stream, so the quantiles are
-those of one whole-array draw, bit for bit.
+The kink draw holds about 8 bytes per value, 8 MB at the default 10^6
+draws: Z2 and U are drawn in chunks, from two points of one stream, so the
+quantiles are those of one whole-array draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -125,17 +125,22 @@ def h_piecewise(ystar, q30: float, q70: float, a: float, b: float):
     return out if out.ndim else float(out)
 
 
-# U comes last in substream 0, so approximate_quantiles draws it in chunks of
-# this length: chunked Generator draws continue the stream value for value
+# approximate_quantiles builds h's argument in chunks of this length:
+# chunked Generator draws continue the stream value for value
 QUANTILE_CHUNK = 1 << 16
 
 
-def _draw_z(cfg: DgpConfig, rng: np.random.Generator, size: int):
-    """Draw Z1 and Z2, in that order; Z1 = 1 + sigma * N(0, 1) is formed in the buffer drawn."""
+def _draw_z1(cfg: DgpConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw Z1 = 1 + sigma * N(0, 1), formed in the buffer drawn."""
     z1 = rng.standard_normal(size)
     z1 *= cfg.sigma
     z1 += 1.0
-    return z1, rng.uniform(-cfg.c, cfg.c, size)
+    return z1
+
+
+def _draw_z2(cfg: DgpConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw Z2 ~ U[-c, c]."""
+    return rng.uniform(-cfg.c, cfg.c, size)
 
 
 def _latent(cfg: DgpConfig, z1, z2, u):
@@ -156,17 +161,26 @@ def approximate_quantiles(cfg: DgpConfig) -> tuple[float, float]:
     """30%/70% quantiles of h's argument from a fresh simulated draw.
 
     Uses a dedicated RNG substream of ``cfg.seed``, so the result matches
-    the one :func:`generate` uses internally, and is deterministic.  h's
-    argument is built in Z1's buffer, chunk by chunk of U, so the draw holds
-    two arrays of its length.
+    the one :func:`generate` uses internally, and is deterministic.  The
+    substream is drawn in the order Z1, Z2, U, as in :func:`generate`.  h's
+    argument is built in Z1's buffer, chunk by chunk of Z2 and U, so the
+    draw holds one array of its length.
     """
+    n = cfg.quantile_approx_draws
     rng = _substream(cfg.seed, 0)
-    h_arg, z2 = _draw_z(cfg, rng, cfg.quantile_approx_draws)
-    for lo in range(0, h_arg.size, QUANTILE_CHUNK):
+    h_arg = _draw_z1(cfg, rng, n)
+    # Generator.uniform takes exactly one 64-bit PCG64 word per value, so U
+    # starts n words after Z2's first value: a copy of the stream advanced by
+    # n words draws U in lockstep with Z2
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    u_rng = np.random.Generator(bits.advance(n))
+    for lo in range(0, n, QUANTILE_CHUNK):
         part = slice(lo, lo + QUANTILE_CHUNK)
-        u = rng.standard_normal(h_arg[part].size)
-        h_arg[part] = _latent(cfg, h_arg[part], z2[part], u)[2]
-    del z2
+        size = h_arg[part].size
+        h_arg[part] = _latent(
+            cfg, h_arg[part], _draw_z2(cfg, rng, size), u_rng.standard_normal(size)
+        )[2]
     # h_arg is a fresh draw no one else holds: partition it in place, not a copy
     q30, q70 = np.quantile(h_arg, [0.3, 0.7], overwrite_input=True)
     return float(q30), float(q70)
@@ -187,7 +201,8 @@ def generate(cfg: DgpConfig) -> GeneratedSample:
     """
     q30, q70 = approximate_quantiles(cfg)
     rng = _substream(cfg.seed, 1)
-    z1, z2 = _draw_z(cfg, rng, cfg.n)
+    z1 = _draw_z1(cfg, rng, cfg.n)
+    z2 = _draw_z2(cfg, rng, cfg.n)
     w, ystar, h_arg = _latent(cfg, z1, z2, rng.standard_normal(cfg.n))
     v = rng.standard_normal(cfg.n)
     y = h_piecewise(h_arg, q30, q70, cfg.a, cfg.b)

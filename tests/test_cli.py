@@ -265,8 +265,21 @@ def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys
         ([dict(spline, degree=2.9)], "degree must be an integer, got 2.9"),
         ([dict(spline, n_interior=2.5)], "n_interior must be an integer, got 2.5"),
         ([ident, spline], "pinned must be true or false, got 'false'"),
+        ([dict(ident, pinned=True, coefficient=True), spline],
+         "coefficient must be a finite number, got True"),
     ]:
         cases.append(("spec", {"components": components}, detail))
+    # float settings take no boolean, string or non-finite value
+    for norm, detail in [
+        ({"type": "anchor", "point": ["0", True]}, "point must be a finite number, got '0'"),
+        ({"type": "anchor", "point": [0, 0], "value": "1"},
+         "value must be a finite number, got '1'"),
+        ({"type": "two_point", "points": [[0, 0], [1, float("nan")]], "values": [0, 1]},
+         "points must be a finite number, got nan"),
+    ]:
+        cases.append(("spec", {"components": [spline], "normalization": norm}, detail))
+    cases.append(("grid", {"points": [[0.0, 0.0], [0.0, float("inf")]]},
+                  "points must be a finite number, got inf"))
     for key, value, detail in [
         ("num", 0, "num must be at least 1, got 0"),
         ("num", 2.5, "num must be an integer, got 2.5"),
@@ -274,9 +287,13 @@ def test_malformed_config_files_exit_1_naming_the_file(dataset, tmp_path, capsys
         ("coord", 1.7, "coord must be an integer, got 1.7"),
         ("coord", "1", "coord must be an integer, got '1'"),
         ("coord", -1, "coord -1 is out of bounds for 2 grid columns"),
+        ("start", "-1", "start must be a finite number, got '-1'"),
+        ("stop", True, "stop must be a finite number, got True"),
+        ("base", ["9", False], "base must be a finite number, got '9'"),
+        ("base", [9, False], "base must be a finite number, got False"),
     ]:
-        axis = {"coord": 1, "start": -1.0, "stop": 1.0, "num": 3, key: value}
-        cases.append(("grid", {"linspace": dict(axis, base=[0.0, 0.0])}, detail))
+        axis = {"coord": 1, "start": -1.0, "stop": 1.0, "num": 3, "base": [0.0, 0.0], key: value}
+        cases.append(("grid", {"linspace": axis}, detail))
     # every file is read before the fit
     monkeypatch.setattr(cli, "maximize_rank_criterion", lambda *a: pytest.fail("the fit ran"))
     for option, obj, detail in cases:

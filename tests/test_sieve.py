@@ -375,15 +375,41 @@ def test_spec_json_two_point_and_product():
         ({"n_interior": 2.5}, "n_interior must be an integer, got 2.5"),
         ({"type": "identity", "pinned": "false"}, "pinned must be true or false, got 'false'"),
         ({"type": "identity", "pinned": 0}, "pinned must be true or false, got 0"),
+        ({"type": "identity", "coefficient": True},
+         "coefficient must be a finite number, got True"),
+        ({"type": "identity", "coefficient": "2.5"},
+         "coefficient must be a finite number, got '2.5'"),
+        ({"type": "identity", "coefficient": float("nan")},
+         "coefficient must be a finite number, got nan"),
+        ({"type": "identity", "coefficient": 10**400},
+         f"coefficient must be a finite number, got {10**400!r}"),
+        ({"knots": [0, 0, 0, "1", 1, 1]}, "knots must be a finite number, got '1'"),
+        ({"knots": [0, 0, 0, float("inf"), 1, 1]}, "knots must be a finite number, got inf"),
+        ({"normalization": {"type": "anchor", "point": ["0", True]}},
+         "point must be a finite number, got '0'"),
+        ({"normalization": {"type": "anchor", "point": [0, True]}},
+         "point must be a finite number, got True"),
+        ({"normalization": {"type": "anchor", "point": [0, 0], "value": "1"}},
+         "value must be a finite number, got '1'"),
+        ({"normalization": {"type": "two_point", "points": [[0, 0], [1, None]],
+                            "values": [0, 1]}}, "points must be a finite number, got None"),
+        ({"normalization": {"type": "two_point", "points": [[0, 0], [1, 1]],
+                            "values": [0, float("nan")]}},
+         "values must be a finite number, got nan"),
     ],
     ids=["coord-1.7", "coord-true", "coord-str", "product-1.5", "degree-2.9", "degree-true",
-         "n_interior-2.5", "pinned-str", "pinned-0"],
+         "n_interior-2.5", "pinned-str", "pinned-0", "coefficient-true", "coefficient-str",
+         "coefficient-nan", "coefficient-beyond-float", "knots-str", "knots-inf", "anchor-point-str", "anchor-point-true",
+         "anchor-value-str", "two-point-none", "two-point-value-nan"],
 )
 def test_spec_json_rejects_non_integers_and_non_booleans(component, detail):
+    # floats are checked too: no boolean, string or non-finite value is read as a number
+    component = dict(component)
+    norm = component.pop("normalization", {"type": "none"})
     cj = dict({"type": "spline", "input": {"coord": 1}, "degree": 2, "n_interior": 1}, **component)
     z = np.column_stack([np.zeros(9), np.arange(9.0)])
     with pytest.raises(ValueError) as info:
-        sieve_spec_from_json({"components": [cj]}, z=z)
+        sieve_spec_from_json({"components": [cj], "normalization": norm}, z=z)
     assert str(info.value) == detail
 
 

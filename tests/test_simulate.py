@@ -33,7 +33,8 @@ from ranksieve import (
 from ranksieve.simulate import (
     QUANTILE_CHUNK,
     GeneratedSample,
-    _draw_z,
+    _draw_z1,
+    _draw_z2,
     _kolmogorov_sf,
     _spline_spec,
     _substream,
@@ -131,15 +132,18 @@ def test_quantiles_deterministic():
 
 @pytest.mark.parametrize(
     "draws",
-    [10_000, QUANTILE_CHUNK - 1, QUANTILE_CHUNK, QUANTILE_CHUNK + 1, 1_000_000],
+    [10_000, QUANTILE_CHUNK - 1, QUANTILE_CHUNK, QUANTILE_CHUNK + 1, 123_457, 1_000_000],
 )
 @pytest.mark.parametrize("variant", ["baseline", "weighted"])
 def test_chunked_quantiles_match_the_whole_array_draw_bitwise(variant, draws):
-    for sigma, c in [(0.5, 2.0), (0.5, 3.0), (2.0, 2.0), (2.0, 3.0)]:
-        cfg = DgpConfig(variant=variant, sigma=sigma, c=c, quantile_approx_draws=draws, seed=11)
-        ref = reference_kink_quantiles(variant, sigma, c, _substream(cfg.seed, 0), draws)
-        got = approximate_quantiles(cfg)
-        assert [q.hex() for q in got] == [q.hex() for q in ref], (sigma, c)
+    # the seed moves where Z1 ends in the stream, and so where Z2 and U start
+    for seed in (0, 7, 11):
+        for sigma, c in [(0.5, 2.0), (0.5, 3.0), (2.0, 2.0), (2.0, 3.0)]:
+            cfg = DgpConfig(variant=variant, sigma=sigma, c=c, quantile_approx_draws=draws,
+                            seed=seed)
+            ref = reference_kink_quantiles(variant, sigma, c, _substream(seed, 0), draws)
+            got = approximate_quantiles(cfg)
+            assert [q.hex() for q in got] == [q.hex() for q in ref], (seed, sigma, c)
 
 
 @pytest.mark.parametrize("variant", ["baseline", "weighted"])
@@ -173,6 +177,19 @@ def test_quantile_draw_holds_about_two_arrays():
     assert peak <= 2.5 * 8 * draws, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_quantile_draw_holds_one_array():
+    # Z1's buffer (which becomes h's argument) plus chunk-sized Z2, U and temporaries
+    draws = 1_000_000
+    cfg = DgpConfig(variant="weighted", quantile_approx_draws=draws, seed=4)
+    tracemalloc.start()
+    try:
+        approximate_quantiles(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * draws, f"peak {peak / 1e6:.1f} MB"
+
+
 # --------------------------------------------------------------------------
 # sample generation
 # --------------------------------------------------------------------------
@@ -183,7 +200,8 @@ def test_generate_identity_distortion_no_noise():
     cfg = DgpConfig(n=500, a=1.0, b=1.0, seed=3, quantile_approx_draws=10_000)
     gen = generate(cfg)
     rng = _substream(cfg.seed, 1)
-    _draw_z(cfg, rng, cfg.n)
+    _draw_z1(cfg, rng, cfg.n)
+    _draw_z2(cfg, rng, cfg.n)
     rng.standard_normal(cfg.n)  # U
     v = rng.standard_normal(cfg.n)
     np.testing.assert_array_equal(gen.sample.y, gen.ystar + v)
